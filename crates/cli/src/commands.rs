@@ -7,6 +7,7 @@ use std::io::BufWriter;
 use hotpotato::{EpochPowerSequence, HotPotato, HotPotatoConfig, RotationPeakSolver};
 use hp_faults::FaultPlan;
 use hp_floorplan::{CoreId, GridFloorplan};
+use hp_linalg::eigen::SystemEigen;
 use hp_linalg::Vector;
 use hp_manycore::{ArchConfig, Machine};
 use hp_sched::{
@@ -14,7 +15,7 @@ use hp_sched::{
 };
 use hp_sim::schedulers::PinnedScheduler;
 use hp_sim::{EngineCheckpoint, Metrics, RunOptions, Scheduler, SimConfig, Simulation};
-use hp_thermal::{tsp, RcThermalModel, ThermalConfig};
+use hp_thermal::{tsp, RcThermalModel, ThermalConfig, TransientSolver};
 use hp_workload::{closed_batch, open_poisson, Benchmark, Job, JobId};
 
 use hp_campaign::{run_campaign, CampaignConfig, SweepSpec};
@@ -287,22 +288,32 @@ pub fn simulate(args: &ParsedArgs) -> CliResult {
         faults,
         ..SimConfig::default()
     };
-    let mut sim = Simulation::new(machine(w, h)?, ThermalConfig::default(), sim_config)?;
+    // One model and one eigendecomposition (the design-time step) shared
+    // by the engine's transient solver and the scheduler's peak solver.
+    let machine = machine(w, h)?;
+    let model = RcThermalModel::new(machine.floorplan(), &ThermalConfig::default())?;
+    let eigen = SystemEigen::new(model.a_diag(), model.b())?;
+    let transient = TransientSolver::with_eigen(eigen.clone());
+    let mut sim = Simulation::with_thermal(machine, model.clone(), transient, sim_config)?;
 
+    let peak_solver = || RotationPeakSolver::with_eigen(model.clone(), eigen.clone());
     let mut scheduler: Box<dyn Scheduler> = match scheduler_name.as_str() {
-        "hotpotato" => Box::new(HotPotato::new(model(w, h)?, HotPotatoConfig::default())?),
-        "hybrid" => Box::new(HotPotatoDvfs::new(
-            model(w, h)?,
+        "hotpotato" => Box::new(HotPotato::with_solver(
+            peak_solver(),
             HotPotatoConfig::default(),
         )?),
-        "fallback" => Box::new(FallbackChain::new(
-            model(w, h)?,
+        "hybrid" => Box::new(HotPotatoDvfs::with_solver(
+            peak_solver(),
+            HotPotatoConfig::default(),
+        )?),
+        "fallback" => Box::new(FallbackChain::with_solver(
+            peak_solver(),
             HotPotatoConfig::default(),
             FallbackConfig::default(),
         )?),
-        "pcmig" => Box::new(PcMig::new(model(w, h)?, PcMigConfig::default())),
-        "pcgov" => Box::new(PcGov::new(model(w, h)?, 70.0, 0.3)),
-        "tsp" => Box::new(TspUniform::new(model(w, h)?, 70.0, 0.3)),
+        "pcmig" => Box::new(PcMig::new(model.clone(), PcMigConfig::default())),
+        "pcgov" => Box::new(PcGov::new(model.clone(), 70.0, 0.3)),
+        "tsp" => Box::new(TspUniform::new(model.clone(), 70.0, 0.3)),
         "pinned" => Box::new(PinnedScheduler::new()),
         other => return Err(format!("unknown scheduler `{other}`").into()),
     };

@@ -20,8 +20,8 @@ pub enum NumericalError {
     NonConvergence {
         /// Sweeps (or iterations) performed before giving up.
         sweeps: u32,
-        /// Residual measure at abort (e.g. largest off-diagonal entry for
-        /// a Jacobi sweep).
+        /// Residual measure at abort (e.g. the largest subdiagonal entry
+        /// a QL iteration had not yet made negligible).
         off_norm: f64,
         /// Partial result at abort (e.g. the diagonal holding the
         /// eigenvalue estimates so far). May be empty when no meaningful
@@ -59,7 +59,7 @@ impl fmt::Display for NumericalError {
                 sweeps, off_norm, ..
             } => write!(
                 f,
-                "no convergence after {sweeps} sweeps (residual {off_norm:e})"
+                "no convergence after {sweeps} iterations (residual {off_norm:e})"
             ),
             NumericalError::IllConditioned {
                 estimate,
@@ -193,7 +193,7 @@ mod tests {
                 asymmetry: 0.5,
             },
             LinalgError::NoConvergence {
-                algorithm: "jacobi",
+                algorithm: "implicit ql",
                 iterations: 100,
             },
             LinalgError::InvalidInput("empty"),

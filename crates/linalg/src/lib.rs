@@ -2,10 +2,11 @@
 //!
 //! Compact RC thermal models (HotSpot-style) lead to small dense systems:
 //! a 64-core, three-layer model has `N ≈ 200` thermal nodes. At that size
-//! dense LU factorization and a cyclic Jacobi eigensolver are both simpler
+//! dense LU factorization and a dense symmetric eigensolver are both simpler
 //! and faster than sparse machinery, and — crucially for the peak-temperature
-//! proofs in the paper — the Jacobi route gives us a *guaranteed orthogonal*
-//! eigenbasis of the symmetrized system matrix.
+//! proofs in the paper — decomposing the *symmetrized* system matrix by
+//! orthogonal transforms gives an eigenbasis that is orthogonal to
+//! round-off.
 //!
 //! The crate deliberately implements only what the tool-chain needs:
 //!
@@ -16,9 +17,10 @@
 //! * [`CholeskyDecomposition`] — pivot-free `L·Lᵀ` factorization for SPD
 //!   matrices; doubles as the positive-definiteness check for assembled
 //!   RC networks.
-//! * [`SymmetricEigen`] — cyclic Jacobi eigensolver for symmetric matrices,
-//!   plus the diagonal-congruence transform used to factorize `C = -A⁻¹B`
-//!   when `A` is diagonal positive and `B` is symmetric positive definite.
+//! * [`SymmetricEigen`] — Householder tridiagonalisation + implicit-shift
+//!   QL eigensolver for symmetric matrices, plus the diagonal-congruence
+//!   transform used to factorize `C = -A⁻¹B` when `A` is diagonal positive
+//!   and `B` is symmetric positive definite.
 //! * [`expm()`](fn@crate::expm) — matrix exponentials, both through an
 //!   eigendecomposition (the MatEx route) and through scaling-and-squaring
 //!   (validation / fallback).

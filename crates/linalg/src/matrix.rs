@@ -298,13 +298,14 @@ impl Matrix {
         LuDecomposition::new(self)
     }
 
-    /// Computes the eigendecomposition of a symmetric matrix via cyclic Jacobi.
+    /// Computes the eigendecomposition of a symmetric matrix via Householder
+    /// tridiagonalisation and implicit-shift QL ([`SymmetricEigen::new`]).
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::NotSymmetric`] if the matrix is noticeably
-    /// asymmetric, or [`LinalgError::Numerical`] if Jacobi exhausts its
-    /// sweep budget.
+    /// asymmetric, or [`LinalgError::Numerical`] for non-finite input or if
+    /// the QL iteration exhausts its budget.
     pub fn symmetric_eigen(&self) -> Result<SymmetricEigen> {
         SymmetricEigen::new(self)
     }

@@ -60,20 +60,20 @@ proptest! {
     }
 
     #[test]
-    fn jacobi_reconstructs(b in spd_matrix(6)) {
+    fn eigen_reconstructs_spd(b in spd_matrix(6)) {
         let eig = b.symmetric_eigen().unwrap();
         let err = (&eig.reconstruct() - &b).norm_inf();
         prop_assert!(err < 1e-9 * (1.0 + b.norm_inf()));
     }
 
     #[test]
-    fn jacobi_eigenvalues_positive_for_spd(b in spd_matrix(6)) {
+    fn eigenvalues_positive_for_spd(b in spd_matrix(6)) {
         let eig = b.symmetric_eigen().unwrap();
         prop_assert!(eig.eigenvalues().iter().all(|&l| l > 0.0));
     }
 
     #[test]
-    fn jacobi_vectors_orthonormal(b in spd_matrix(6)) {
+    fn eigenvectors_orthonormal(b in spd_matrix(6)) {
         let eig = b.symmetric_eigen().unwrap();
         let q = eig.eigenvectors();
         let qtq = q.transpose().mul_matrix(q).unwrap();

@@ -12,6 +12,8 @@
 //!   silently accepted;
 //! * truncation and schema tampering are typed errors, not panics.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use proptest::prelude::*;
 
 use hp_faults::FaultPlan;
@@ -22,6 +24,10 @@ use hp_sim::{
 };
 use hp_thermal::ThermalConfig;
 use hp_workload::{closed_batch, Benchmark};
+
+/// Numbers `make_checkpoint` calls: the same case can run on two test
+/// threads at once, and they must not share (and delete) one file.
+static CALLS: AtomicUsize = AtomicUsize::new(0);
 
 /// Runs a short faulted batch with checkpointing on and returns the last
 /// checkpoint written. Interrupts via the interval budget so the file is
@@ -47,7 +53,8 @@ fn make_checkpoint(width: usize, cores: usize, seed: u64, dropout: f64) -> Engin
     let mut sched = PinnedScheduler::new();
     let dir = std::env::temp_dir().join(format!("hp-ckpt-prop-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
-    let path = dir.join(format!("{width}x{width}-{cores}-{seed}.ckpt.json"));
+    let call = CALLS.fetch_add(1, Ordering::SeqCst);
+    let path = dir.join(format!("{width}x{width}-{cores}-{seed}-{call}.ckpt.json"));
     let _ = sim.run_with_options(
         closed_batch(Benchmark::Canneal, cores, seed),
         &mut sched,
