@@ -172,7 +172,7 @@ impl CampaignJob {
             self.sim.faults.to_json_string(),
             self.thermal.name(),
         );
-        fnv1a(desc.as_bytes())
+        hp_obs::fnv1a(desc.as_bytes())
     }
 }
 
@@ -215,16 +215,6 @@ mod chaos {
             Vec::new()
         }
     }
-}
-
-/// FNV-1a 64-bit hash (dependency-free, stable across platforms).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// Builds the job's scheduler from the shared chip artifacts.

@@ -15,8 +15,8 @@
 
 use std::fmt::Write as _;
 
-use hp_obs::json::{self, Json};
-use hp_obs::RunReport;
+use hp_obs::json::{self, push_float, Cursor, Layout, Obj};
+use hp_obs::{ObsError, RunReport};
 
 use crate::error::{CampaignError, Result};
 
@@ -215,23 +215,14 @@ impl CampaignReport {
     /// Serialises to the `hp-campaign-v1` JSON document.
     pub fn to_json_string(&self) -> String {
         let mut out = String::with_capacity(4096);
-        out.push_str("{\n");
-        let _ = write!(out, "  \"schema\": \"{SCHEMA}\",\n  \"jobs\": [");
-        for (i, job) in self.jobs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            out.push_str(&job_to_json(job, true));
-        }
-        out.push_str(if self.jobs.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
+        let mut o = Obj::open(&mut out, Layout::Pretty(0));
+        o.str("schema", SCHEMA);
+        json::push_list(o.key("jobs"), Layout::Pretty(1), &self.jobs, |out, job| {
+            write_job(out, job, |o| job.report.write_json(o.key("report"), true));
         });
-        out.push_str("  \"campaign\": ");
-        out.push_str(self.campaign.to_json_string().trim_end());
-        out.push_str("\n}\n");
+        self.campaign.write_json(o.key("campaign"), false);
+        o.close();
+        out.push('\n');
         out
     }
 
@@ -242,248 +233,124 @@ impl CampaignReport {
     /// Returns [`CampaignError::Parse`] on malformed JSON, a wrong
     /// schema tag, or entries of the wrong shape.
     pub fn from_json_str(src: &str) -> Result<CampaignReport> {
-        let doc = json::parse(src).map_err(|e| CampaignError::Parse(e.to_string()))?;
-        let schema = doc
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or_else(|| CampaignError::Parse("missing `schema` tag".into()))?;
-        if schema != SCHEMA {
-            return Err(CampaignError::Parse(format!(
-                "unknown schema `{schema}` (expected `{SCHEMA}`)"
-            )));
-        }
-        let mut jobs = Vec::new();
-        if let Some(Json::Arr(items)) = doc.get("jobs") {
-            for item in items {
-                jobs.push(job_from_json(item)?);
+        let decode = || -> hp_obs::Result<CampaignReport> {
+            let parsed = json::parse(src)?;
+            let doc = parsed.cursor("campaign");
+            let schema = doc.field("schema")?.str()?;
+            if schema != SCHEMA {
+                return Err(ObsError::Parse {
+                    message: format!("unknown schema `{schema}` (expected `{SCHEMA}`)"),
+                });
             }
-        }
-        let campaign = match doc.get("campaign") {
-            Some(sub) => RunReport::from_json_str(&render_json(sub))
-                .map_err(|e| CampaignError::Parse(format!("campaign report: {e}")))?,
-            None => RunReport::new(),
+            Ok(CampaignReport {
+                jobs: match doc.opt("jobs") {
+                    Some(jobs) => jobs.list(decode_job)?,
+                    None => Vec::new(),
+                },
+                campaign: match doc.opt("campaign") {
+                    Some(c) => RunReport::from_json(c.value())?,
+                    None => RunReport::new(),
+                },
+            })
         };
-        Ok(CampaignReport { jobs, campaign })
+        decode().map_err(|e| CampaignError::Parse(e.to_string()))
     }
 }
 
-/// Serialises one job outcome as a JSON object. With
-/// `include_report = false` the (potentially large) run report is
-/// omitted — the manifest format, where the report lives in the job's
-/// own `job-NNN.report.json` file.
-pub(crate) fn job_to_json(job: &JobOutcome, include_report: bool) -> String {
-    let mut out = String::with_capacity(256);
-    let _ = write!(
-        out,
-        "{{\"label\": \"{}\", \"scheduler\": \"{}\", \"grid\": \"{}x{}\", \
-         \"workload\": \"{}\", \"digest\": \"{:016x}\", \"status\": \"{}\", \
-         \"cause\": \"{}\", \"makespan_s\": {}, \"peak_c\": {}, \"simulated_s\": {}, \
-         \"energy_j\": {}, \"avg_freq_ghz\": {}, \"dtm_intervals\": {}, \
-         \"migrations\": {}, \"jobs_completed\": {}, \"jobs_total\": {}, \
-         \"resumed\": {}, \"attempts\": {}, \"quarantined\": {}",
-        json::escape(&job.label),
-        json::escape(&job.scheduler),
-        job.grid.0,
-        job.grid.1,
-        json::escape(&job.workload),
-        job.digest,
-        job.status.label(),
-        json::escape(&job.cause),
-        fmt_f64(job.makespan_seconds),
-        fmt_f64(job.peak_celsius),
-        fmt_f64(job.simulated_seconds),
-        fmt_f64(job.energy_joules),
-        fmt_f64(job.avg_frequency_ghz),
-        job.dtm_intervals,
-        job.migrations,
-        job.jobs_completed,
-        job.jobs_total,
-        job.resumed,
-        job.attempts,
-        job.quarantined,
+/// Writes one job outcome as a one-line JSON object; `tail` appends the
+/// members that differ between the campaign document (the embedded run
+/// report) and the manifest (the job's report file name).
+fn write_job(out: &mut String, job: &JobOutcome, tail: impl FnOnce(&mut Obj<'_>)) {
+    let mut o = Obj::open(out, Layout::Line);
+    o.str("label", &job.label).str("scheduler", &job.scheduler);
+    let _ = write!(o.key("grid"), "\"{}x{}\"", job.grid.0, job.grid.1);
+    o.str("workload", &job.workload);
+    let _ = write!(o.key("digest"), "\"{:016x}\"", job.digest);
+    o.str("status", job.status.label())
+        .str("cause", &job.cause)
+        .f64("makespan_s", job.makespan_seconds)
+        .f64("peak_c", job.peak_celsius)
+        .f64("simulated_s", job.simulated_seconds)
+        .f64("energy_j", job.energy_joules)
+        .f64("avg_freq_ghz", job.avg_frequency_ghz)
+        .lit("dtm_intervals", job.dtm_intervals)
+        .lit("migrations", job.migrations)
+        .lit("jobs_completed", job.jobs_completed)
+        .lit("jobs_total", job.jobs_total)
+        .lit("resumed", job.resumed)
+        .lit("attempts", job.attempts)
+        .lit("quarantined", job.quarantined);
+    json::push_list(
+        o.key("peak_series"),
+        Layout::Line,
+        job.peak_series.iter().copied(),
+        push_float,
     );
-    out.push_str(", \"peak_series\": [");
-    for (i, v) in job.peak_series.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&fmt_f64(*v));
-    }
-    out.push(']');
-    if include_report {
-        out.push_str(", \"report\": ");
-        out.push_str(compact(&job.report.to_json_string()).trim_end());
-    }
-    out.push('}');
-    out
+    tail(&mut o);
+    o.close();
 }
 
-/// Parses one job outcome object (campaign document or manifest line).
+/// One `manifest.jsonl` line: the job outcome without its (potentially
+/// large) run report, which lives in the job's own `file`.
+pub(crate) fn manifest_line(job: &JobOutcome, file: &str) -> String {
+    let mut line = String::with_capacity(512);
+    write_job(&mut line, job, |o| {
+        o.str("file", file);
+    });
+    line
+}
+
+/// Decodes one job outcome object (campaign document or manifest line).
 /// A missing `report` member yields an empty run report — the manifest
 /// caller re-attaches it from the job's report file.
-pub(crate) fn job_from_json(item: &Json) -> Result<JobOutcome> {
-    let s = |key: &str| -> Result<String> {
-        item.get(key)
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| CampaignError::Parse(format!("job entry missing string `{key}`")))
-    };
-    let f = |key: &str| -> Result<f64> {
-        match item.get(key) {
-            Some(Json::Null) => Ok(f64::NAN),
-            Some(v) => v
-                .as_f64()
-                .ok_or_else(|| CampaignError::Parse(format!("job entry `{key}` is not a number"))),
-            None => Err(CampaignError::Parse(format!("job entry missing `{key}`"))),
-        }
-    };
-    let u = |key: &str| -> Result<u64> {
-        item.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| CampaignError::Parse(format!("job entry `{key}` is not a u64")))
-    };
-    let grid_raw = s("grid")?;
-    let grid = parse_grid(&grid_raw)?;
-    let digest_raw = s("digest")?;
-    let digest = u64::from_str_radix(&digest_raw, 16)
-        .map_err(|_| CampaignError::Parse(format!("bad digest `{digest_raw}`")))?;
-    let status_raw = s("status")?;
-    let status = JobStatus::from_label(&status_raw)
-        .ok_or_else(|| CampaignError::Parse(format!("unknown status `{status_raw}`")))?;
-    let resumed = matches!(item.get("resumed"), Some(Json::Bool(true)));
+pub(crate) fn decode_job(c: &Cursor<'_>) -> hp_obs::Result<JobOutcome> {
+    let string = |key: &str| -> hp_obs::Result<String> { Ok(c.field(key)?.str()?.to_string()) };
+    let grid = c.field("grid")?;
+    let digest = c.field("digest")?;
+    let status = c.field("status")?;
     // Supervision fields are optional for pre-supervision manifests.
-    let attempts = item
-        .get("attempts")
-        .and_then(Json::as_u64)
-        .unwrap_or(1)
-        .max(1) as u32;
-    let quarantined = matches!(item.get("quarantined"), Some(Json::Bool(true)));
-    let mut peak_series = Vec::new();
-    if let Some(Json::Arr(items)) = item.get("peak_series") {
-        for v in items {
-            peak_series.push(
-                v.as_f64().ok_or_else(|| {
-                    CampaignError::Parse("peak_series entry is not a number".into())
-                })?,
-            );
-        }
-    }
-    let report = match item.get("report") {
-        Some(sub) => RunReport::from_json_str(&render_json(sub))
-            .map_err(|e| CampaignError::Parse(format!("embedded report: {e}")))?,
-        None => RunReport::new(),
+    let flag = |key: &str| c.opt(key).map_or(Ok(false), |v| v.bool());
+    let attempts = match c.opt("attempts") {
+        Some(a) => u32::try_from(a.u64()?.max(1)).map_err(|_| a.error("an attempt count"))?,
+        None => 1,
     };
     Ok(JobOutcome {
-        label: s("label")?,
-        scheduler: s("scheduler")?,
-        grid,
-        workload: s("workload")?,
-        digest,
-        status,
-        cause: s("cause")?,
-        makespan_seconds: f("makespan_s")?,
-        peak_celsius: f("peak_c")?,
-        simulated_seconds: f("simulated_s")?,
-        energy_joules: f("energy_j")?,
-        avg_frequency_ghz: f("avg_freq_ghz")?,
-        dtm_intervals: u("dtm_intervals")?,
-        migrations: u("migrations")?,
-        jobs_completed: u("jobs_completed")? as usize,
-        jobs_total: u("jobs_total")? as usize,
-        resumed,
+        label: string("label")?,
+        scheduler: string("scheduler")?,
+        grid: parse_grid(grid.str()?).ok_or_else(|| grid.error("a grid `WxH`"))?,
+        workload: string("workload")?,
+        digest: u64::from_str_radix(digest.str()?, 16).map_err(|_| digest.error("a hex digest"))?,
+        status: JobStatus::from_label(status.str()?).ok_or_else(|| status.error("a job status"))?,
+        cause: string("cause")?,
+        makespan_seconds: c.field("makespan_s")?.f64()?,
+        peak_celsius: c.field("peak_c")?.f64()?,
+        simulated_seconds: c.field("simulated_s")?.f64()?,
+        energy_joules: c.field("energy_j")?.f64()?,
+        avg_frequency_ghz: c.field("avg_freq_ghz")?.f64()?,
+        dtm_intervals: c.field("dtm_intervals")?.u64()?,
+        migrations: c.field("migrations")?.u64()?,
+        jobs_completed: c.field("jobs_completed")?.usize()?,
+        jobs_total: c.field("jobs_total")?.usize()?,
+        resumed: flag("resumed")?,
         attempts,
-        quarantined,
-        peak_series,
-        report,
+        quarantined: flag("quarantined")?,
+        peak_series: match c.opt("peak_series") {
+            Some(series) => series.list(Cursor::f64)?,
+            None => Vec::new(),
+        },
+        report: match c.opt("report") {
+            Some(r) => RunReport::from_json(r.value())?,
+            None => RunReport::new(),
+        },
     })
 }
 
-/// Parses `"WxH"` into grid dimensions.
-pub(crate) fn parse_grid(raw: &str) -> Result<(usize, usize)> {
-    let Some((a, b)) = raw.split_once(['x', 'X']) else {
-        return Err(CampaignError::Parse(format!(
-            "bad grid `{raw}` (expected WxH)"
-        )));
-    };
-    let w: usize = a
-        .trim()
-        .parse()
-        .map_err(|_| CampaignError::Parse(format!("bad grid width `{a}`")))?;
-    let h: usize = b
-        .trim()
-        .parse()
-        .map_err(|_| CampaignError::Parse(format!("bad grid height `{b}`")))?;
-    if w == 0 || h == 0 {
-        return Err(CampaignError::Parse(format!(
-            "grid `{raw}` has a zero dimension"
-        )));
-    }
-    Ok((w, h))
-}
-
-/// Re-serialises a parsed [`Json`] value. Numbers keep their raw source
-/// text, so round-trips are exact; used to hand nested sub-documents
-/// (embedded run reports, inline fault plans) to their own parsers.
-pub(crate) fn render_json(v: &Json) -> String {
-    let mut out = String::new();
-    render_into(v, &mut out);
-    out
-}
-
-fn render_into(v: &Json, out: &mut String) {
-    match v {
-        Json::Null => out.push_str("null"),
-        Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Json::Num(raw) => out.push_str(raw),
-        Json::Str(s) => {
-            out.push('"');
-            out.push_str(&json::escape(s));
-            out.push('"');
-        }
-        Json::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                render_into(item, out);
-            }
-            out.push(']');
-        }
-        Json::Obj(members) => {
-            out.push('{');
-            for (i, (k, val)) in members.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                out.push_str(&json::escape(k));
-                out.push_str("\": ");
-                render_into(val, out);
-            }
-            out.push('}');
-        }
-    }
-}
-
-/// Collapses a pretty-printed JSON document onto one line by reparsing
-/// and re-rendering it (exact: numbers keep their raw text).
-pub(crate) fn compact(src: &str) -> String {
-    match json::parse(src) {
-        Ok(v) => render_json(&v),
-        // Unreachable for hp-obs output; keep the original on the
-        // defensive path rather than dropping data.
-        Err(_) => src.to_string(),
-    }
-}
-
-/// Formats a float for JSON output: non-finite values become `null`.
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
+/// Parses `"WxH"` into grid dimensions (both nonzero).
+pub(crate) fn parse_grid(raw: &str) -> Option<(usize, usize)> {
+    let (a, b) = raw.split_once(['x', 'X'])?;
+    let w: usize = a.trim().parse().ok()?;
+    let h: usize = b.trim().parse().ok()?;
+    (w > 0 && h > 0).then_some((w, h))
 }
 
 #[cfg(test)]
@@ -561,12 +428,16 @@ mod tests {
         );
     }
 
+    fn decode_line(line: &str) -> hp_obs::Result<JobOutcome> {
+        decode_job(&json::parse(line)?.cursor("line"))
+    }
+
     #[test]
     fn manifest_shape_omits_the_report() {
         let o = outcome();
-        let line = job_to_json(&o, false);
+        let line = manifest_line(&o, "job-000.report.json");
         assert!(!line.contains("\"report\""));
-        let parsed = job_from_json(&json::parse(&line).unwrap()).unwrap();
+        let parsed = decode_line(&line).unwrap();
         assert!(parsed.report.is_empty());
         assert_eq!(parsed.label, o.label);
         assert_eq!(parsed.digest, o.digest);
@@ -577,11 +448,11 @@ mod tests {
     fn rejects_malformed_documents() {
         assert!(CampaignReport::from_json_str("{}").is_err());
         assert!(CampaignReport::from_json_str("{\"schema\": \"other\"}").is_err());
-        assert!(parse_grid("4by4").is_err());
-        assert!(parse_grid("0x4").is_err());
+        assert!(parse_grid("4by4").is_none());
+        assert!(parse_grid("0x4").is_none());
         let bad_status = "{\"label\": \"x\", \"scheduler\": \"s\", \"grid\": \"4x4\", \
              \"workload\": \"w\", \"digest\": \"ff\", \"status\": \"exploded\"}";
-        assert!(job_from_json(&json::parse(bad_status).unwrap()).is_err());
+        assert!(decode_line(bad_status).is_err());
     }
 
     #[test]
@@ -607,8 +478,8 @@ mod tests {
         p.cause = "panicked: boom".into();
         p.attempts = 3;
         p.quarantined = true;
-        let line = job_to_json(&p, false);
-        let parsed = job_from_json(&json::parse(&line).unwrap()).unwrap();
+        let line = manifest_line(&p, "job-001.report.json");
+        let parsed = decode_line(&line).unwrap();
         assert_eq!(parsed.status, JobStatus::Panicked);
         assert_eq!(parsed.attempts, 3);
         assert!(parsed.quarantined);
@@ -623,10 +494,99 @@ mod tests {
 
         // Pre-supervision manifest lines (no attempts/quarantined keys)
         // still parse, with conservative defaults.
-        let legacy =
-            job_to_json(&outcome(), false).replace(", \"attempts\": 1, \"quarantined\": false", "");
-        let parsed = job_from_json(&json::parse(&legacy).unwrap()).unwrap();
+        let legacy = manifest_line(&outcome(), "job-000.report.json")
+            .replace(", \"attempts\": 1, \"quarantined\": false", "");
+        let parsed = decode_line(&legacy).unwrap();
         assert_eq!(parsed.attempts, 1);
         assert!(!parsed.quarantined);
+    }
+
+    /// Manifest lines, pinned byte for byte: the fixture was written from
+    /// these outcomes by the writer that predates the shared codec layer.
+    #[test]
+    fn manifest_line_bytes_are_pinned() {
+        let golden = include_str!("../../../tests/golden/codecs/manifest_lines.jsonl");
+        let mut p = outcome();
+        p.status = JobStatus::Panicked;
+        p.cause = "panicked: \"boom\"\n".into();
+        p.makespan_seconds = f64::NAN;
+        p.peak_series = vec![f64::NAN, 1.5];
+        p.attempts = 3;
+        p.quarantined = true;
+        p.resumed = true;
+        let lines = format!(
+            "{}\n{}\n",
+            manifest_line(&outcome(), "job-000.report.json"),
+            manifest_line(&p, "job-007.report.json")
+        );
+        assert!(lines == golden, "manifest line drifted:\n{lines}");
+        for line in golden.lines() {
+            let back = decode_line(line).expect("pinned line decodes");
+            let file = json::parse(line).ok();
+            let file = file.as_ref().and_then(|v| v.get("file")?.as_str());
+            assert_eq!(manifest_line(&back, file.unwrap_or_default()), line);
+        }
+    }
+
+    /// `outcome()` with every float, counter, flag and text field drawn.
+    fn arbitrary_outcome(f: &[f64], n: &[u64], status: usize, codes: &[u32]) -> JobOutcome {
+        let text: String = codes.iter().filter_map(|&c| char::from_u32(c)).collect();
+        let mut job = outcome();
+        job.report.push_counter(&text, n[0]);
+        job.report.push_gauge("g", f[5]);
+        job.report.push_event(f[6], "dtm", &text);
+        job.status = [
+            JobStatus::Completed,
+            JobStatus::DegradedNumerics,
+            JobStatus::Aborted,
+            JobStatus::Failed,
+            JobStatus::Panicked,
+            JobStatus::TimedOut,
+        ][status];
+        job.grid = (n[1] as usize % 16 + 1, n[2] as usize % 16 + 1);
+        job.makespan_seconds = f[0];
+        job.peak_celsius = f[1];
+        job.simulated_seconds = f[2];
+        job.energy_joules = f[3];
+        job.avg_frequency_ghz = f[4];
+        job.digest = n[3];
+        job.dtm_intervals = n[0];
+        job.migrations = n[1];
+        job.jobs_completed = n[2] as usize;
+        job.jobs_total = n[3] as usize;
+        job.resumed = n[0].is_multiple_of(2);
+        job.quarantined = n[2].is_multiple_of(2);
+        job.attempts = (n[1] % 5) as u32 + 1;
+        job.peak_series = f[7..].to_vec();
+        job.label.clone_from(&text);
+        job.cause = text;
+        job
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Campaign documents and manifest lines: encode → decode →
+        /// encode is byte-identical, non-finite metrics included (they
+        /// travel as `null` and come back as NaN).
+        #[test]
+        fn encode_decode_encode_is_byte_identical(
+            f in proptest::collection::vec(proptest::num::f64::ANY, 7..12),
+            n in proptest::collection::vec(0u64..u64::MAX, 4),
+            status in 0usize..6,
+            codes in proptest::collection::vec(0u32..0x1_0000, 0..12),
+        ) {
+            let job = arbitrary_outcome(&f, &n, status, &codes);
+            let line = manifest_line(&job, "job-000.report.json");
+            let again = decode_line(&line).map(|j| manifest_line(&j, "job-000.report.json"));
+            proptest::prop_assert_eq!(again, Ok(line));
+            let doc = CampaignReport {
+                jobs: vec![job.clone(), job],
+                campaign: RunReport::new(),
+            }
+            .to_json_string();
+            let again = CampaignReport::from_json_str(&doc).map(|r| r.to_json_string());
+            proptest::prop_assert_eq!(again, Ok(doc));
+        }
     }
 }

@@ -16,7 +16,6 @@
 //! matches the current expansion, so a crashed sweep continues instead
 //! of restarting.
 
-use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -25,14 +24,14 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use hp_obs::json;
-use hp_obs::RunReport;
+use hp_obs::json::{self, Json};
+use hp_obs::{ObsError, RunReport};
 use hp_sim::{EngineCheckpoint, RunOptions, SimError, Simulation};
 
 use crate::cache::ModelCache;
 use crate::error::{CampaignError, Result};
 use crate::job::{build_scheduler, CampaignJob};
-use crate::report::{job_from_json, job_to_json, CampaignReport, JobOutcome, JobStatus};
+use crate::report::{decode_job, manifest_line, CampaignReport, JobOutcome, JobStatus};
 
 /// File name of the per-campaign resume manifest.
 pub const MANIFEST_FILE: &str = "manifest.jsonl";
@@ -126,7 +125,7 @@ pub fn run_campaign(jobs: &[CampaignJob], config: &CampaignConfig) -> Result<Cam
         None => None,
     };
     let resumed: Vec<Option<JobOutcome>> = match (&config.out_dir, config.resume) {
-        (Some(dir), true) => resume_outcomes(dir, jobs),
+        (Some(dir), true) => resume_outcomes(dir, jobs)?,
         _ => vec![None; jobs.len()],
     };
 
@@ -510,23 +509,32 @@ pub(crate) fn checkpoint_file_name(index: usize) -> String {
 /// current job, filled where a manifest entry's digest matches and its
 /// report file still parses. Malformed manifest lines (a crash mid-
 /// append) and stale digests are skipped silently — those jobs re-run.
-fn resume_outcomes(dir: &Path, jobs: &[CampaignJob]) -> Vec<Option<JobOutcome>> {
+///
+/// # Errors
+///
+/// [`CampaignError::Parse`] when a manifest line or report file nests
+/// deeper than [`json::MAX_DEPTH`]: no writer produces that, so it is
+/// tampering rather than a torn append, and resuming would hide it.
+fn resume_outcomes(dir: &Path, jobs: &[CampaignJob]) -> Result<Vec<Option<JobOutcome>>> {
     let mut slots: Vec<Option<JobOutcome>> = vec![None; jobs.len()];
     let Ok(manifest) = fs::read_to_string(dir.join(MANIFEST_FILE)) else {
-        return slots;
+        return Ok(slots);
     };
+    let hostile = |what: &str, e: ObsError| CampaignError::Parse(format!("{what}: {e}"));
     for line in manifest.lines() {
         let line = line.trim();
         if line.is_empty() {
             continue;
         }
-        let Ok(entry) = json::parse(line) else {
+        let entry = match json::parse(line) {
+            Ok(entry) => entry,
+            Err(e @ ObsError::TooDeep { .. }) => return Err(hostile(MANIFEST_FILE, e)),
+            Err(_) => continue,
+        };
+        let Ok(mut outcome) = decode_job(&entry.cursor("manifest line")) else {
             continue;
         };
-        let Ok(mut outcome) = job_from_json(&entry) else {
-            continue;
-        };
-        let Some(file) = entry.get("file").and_then(json::Json::as_str) else {
+        let Some(file) = entry.get("file").and_then(Json::as_str) else {
             continue;
         };
         let Some(index) = jobs
@@ -538,16 +546,17 @@ fn resume_outcomes(dir: &Path, jobs: &[CampaignJob]) -> Vec<Option<JobOutcome>> 
         let Ok(report_src) = fs::read_to_string(dir.join(file)) else {
             continue;
         };
-        let Ok(report) = RunReport::from_json_str(&report_src) else {
-            continue;
+        outcome.report = match RunReport::from_json_str(&report_src) {
+            Ok(report) => report,
+            Err(e @ ObsError::TooDeep { .. }) => return Err(hostile(file, e)),
+            Err(_) => continue,
         };
-        outcome.report = report;
         outcome.resumed = true;
         if let Some(slot) = slots.get_mut(index) {
             *slot = Some(outcome);
         }
     }
-    slots
+    Ok(slots)
 }
 
 /// Serialized writer for the output directory: per-job report files plus
@@ -591,9 +600,7 @@ impl OutputSink {
         let file = report_file_name(index);
         let report_path = self.dir.join(&file);
         let write_result = fs::write(&report_path, outcome.report.to_json_string());
-        let mut line = job_to_json(outcome, false);
-        line.pop(); // strip the closing brace to splice the file name in
-        let _ = write!(line, ", \"file\": \"{file}\"}}");
+        let line = manifest_line(outcome, &file);
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if let Err(e) = write_result {
             if state.first_error.is_none() {

@@ -3,9 +3,9 @@
 //! A [`SweepSpec`] names the axes of a cartesian scenario grid —
 //! scheduler × benchmark × load level × chip size × fault plan × seed —
 //! and [`SweepSpec::expand`] unrolls it into the runner's job vector in
-//! a deterministic nested-loop order. The JSON grammar is hand-rolled
-//! on [`hp_obs::json`], matching the `hp-faults` plan format (inline
-//! fault-plan objects embed verbatim).
+//! a deterministic nested-loop order. The JSON grammar is read and
+//! written with [`hp_obs::json`]; inline fault plans use the `hp-faults`
+//! plan format.
 //!
 //! ```json
 //! {
@@ -21,14 +21,29 @@
 use std::fmt::Write as _;
 
 use hp_faults::FaultPlan;
-use hp_obs::json::{self, Json};
+use hp_obs::json::{self, push_float, push_list, push_lit, push_str, Cursor, Json, Layout, Obj};
+use hp_obs::ObsError;
 use hp_sim::SimConfig;
 use hp_workload::Benchmark;
 
 use crate::cache::ThermalProfile;
 use crate::error::{CampaignError, Result};
 use crate::job::{CampaignJob, Workload, SCHEDULER_NAMES};
-use crate::report::{compact, parse_grid, render_json};
+use crate::report::parse_grid;
+
+/// The keys a spec document may carry, in document order.
+const KEYS: [&str; 10] = [
+    "schedulers",
+    "benchmarks",
+    "loads",
+    "grids",
+    "seeds",
+    "fault_plans",
+    "thermal",
+    "horizon_seconds",
+    "open_jobs",
+    "rate_per_s",
+];
 
 /// The benchmark axis value selecting an open heterogeneous system
 /// instead of a closed single-benchmark batch.
@@ -82,128 +97,95 @@ impl SweepSpec {
         }
     }
 
-    /// Parses a spec document, rejecting unknown keys so typos fail
-    /// loudly instead of silently sweeping a default axis.
+    /// Parses a spec document, rejecting unknown and duplicate keys so
+    /// typos and edit slips fail loudly instead of silently sweeping a
+    /// default axis.
     ///
     /// # Errors
     ///
-    /// Returns [`CampaignError::Spec`] on malformed JSON, unknown keys,
-    /// or invalid axis values.
+    /// Returns [`CampaignError::Spec`] on malformed JSON, unknown or
+    /// duplicate keys, or invalid axis values.
     pub fn from_json_str(src: &str) -> Result<Self> {
-        let doc = json::parse(src).map_err(|e| CampaignError::Spec(e.to_string()))?;
-        let Json::Obj(members) = &doc else {
-            return Err(CampaignError::Spec("spec must be a JSON object".into()));
-        };
-        const KNOWN: &[&str] = &[
-            "schedulers",
-            "benchmarks",
-            "loads",
-            "grids",
-            "seeds",
-            "fault_plans",
-            "thermal",
-            "horizon_seconds",
-            "open_jobs",
-            "rate_per_s",
-        ];
-        for (key, _) in members {
-            if !KNOWN.contains(&key.as_str()) {
-                return Err(CampaignError::Spec(format!(
-                    "unknown key `{key}` (expected one of {KNOWN:?})"
-                )));
-            }
+        let spec = json::parse(src)
+            .and_then(|doc| Self::decode(&doc))
+            .map_err(|e| CampaignError::Spec(e.to_string()))?;
+        spec.validate()?;
+        Ok(spec)
+    }
+
+    fn decode(doc: &Json) -> hp_obs::Result<Self> {
+        let doc = doc.cursor("spec");
+        doc.strict(&KEYS)?;
+        let strings = |c: &Cursor<'_>| c.list(|s| s.str().map(str::to_string));
+        let mut spec = SweepSpec::new(strings(&doc.field("schedulers")?)?);
+        if let Some(c) = doc.opt("benchmarks") {
+            spec.benchmarks = strings(&c)?;
         }
-        let mut spec = SweepSpec::new(Vec::<String>::new());
-        spec.schedulers = string_axis(&doc, "schedulers")?
-            .ok_or_else(|| CampaignError::Spec("missing required `schedulers` axis".into()))?;
-        if let Some(b) = string_axis(&doc, "benchmarks")? {
-            spec.benchmarks = b;
+        if let Some(c) = doc.opt("loads") {
+            spec.loads = c.list(Cursor::f64)?;
         }
-        if let Some(l) = f64_axis(&doc, "loads")? {
-            spec.loads = l;
-        }
-        if let Some(g) = string_axis(&doc, "grids")? {
-            spec.grids = g
-                .iter()
-                .map(|raw| parse_grid(raw).map_err(|e| CampaignError::Spec(e.to_string())))
-                .collect::<Result<Vec<_>>>()?;
-        }
-        if let Some(s) = u64_axis(&doc, "seeds")? {
-            spec.seeds = s;
-        }
-        if let Some(Json::Arr(items)) = doc.get("fault_plans") {
-            let mut plans = Vec::new();
-            for item in items {
-                plans.push(
-                    FaultPlan::from_json_str(&render_json(item))
-                        .map_err(|e| CampaignError::Spec(format!("fault plan: {e}")))?,
-                );
-            }
-            spec.fault_plans = plans;
-        }
-        if let Some(v) = doc.get("thermal") {
-            let raw = v
-                .as_str()
-                .ok_or_else(|| CampaignError::Spec("`thermal` must be a string".into()))?;
-            spec.thermal = ThermalProfile::from_name(raw).ok_or_else(|| {
-                CampaignError::Spec(format!(
-                    "unknown thermal profile `{raw}` (expected \"default\" or \"ill-conditioned\")"
-                ))
+        if let Some(c) = doc.opt("grids") {
+            spec.grids = c.list(|g| {
+                parse_grid(g.str()?).ok_or_else(|| g.error("a grid `WxH` with nonzero sides"))
             })?;
         }
-        if let Some(v) = doc.get("horizon_seconds") {
-            spec.horizon_seconds = v
-                .as_f64()
-                .ok_or_else(|| CampaignError::Spec("`horizon_seconds` must be a number".into()))?;
+        if let Some(c) = doc.opt("seeds") {
+            spec.seeds = c.list(Cursor::u64)?;
         }
-        if let Some(v) = doc.get("open_jobs") {
-            spec.open_jobs = v
-                .as_u64()
-                .ok_or_else(|| CampaignError::Spec("`open_jobs` must be a u64".into()))?
-                as usize;
+        if let Some(c) = doc.opt("fault_plans") {
+            spec.fault_plans = c.list(|p| {
+                FaultPlan::from_json(p.value()).map_err(|e| ObsError::Parse {
+                    message: format!("`{}`: {e}", p.path()),
+                })
+            })?;
         }
-        if let Some(v) = doc.get("rate_per_s") {
-            spec.rate_per_s = v
-                .as_f64()
-                .ok_or_else(|| CampaignError::Spec("`rate_per_s` must be a number".into()))?;
+        if let Some(c) = doc.opt("thermal") {
+            spec.thermal = ThermalProfile::from_name(c.str()?)
+                .ok_or_else(|| c.error("a thermal profile (\"default\" or \"ill-conditioned\")"))?;
         }
-        spec.validate()?;
+        if let Some(c) = doc.opt("horizon_seconds") {
+            spec.horizon_seconds = c.f64()?;
+        }
+        if let Some(c) = doc.opt("open_jobs") {
+            spec.open_jobs = c.usize()?;
+        }
+        if let Some(c) = doc.opt("rate_per_s") {
+            spec.rate_per_s = c.f64()?;
+        }
         Ok(spec)
     }
 
     /// Serialises the spec back to its JSON grammar.
     pub fn to_json_string(&self) -> String {
-        let mut out = String::from("{\n");
-        let strings = |items: &[String]| -> String {
-            items
-                .iter()
-                .map(|s| format!("\"{}\"", json::escape(s)))
-                .collect::<Vec<_>>()
-                .join(", ")
+        let mut out = String::with_capacity(512);
+        let mut o = Obj::open(&mut out, Layout::Pretty(0));
+        let strings = |out: &mut String, items: &[String]| {
+            push_list(out, Layout::Line, items, |out, s| push_str(out, s));
         };
-        let _ = writeln!(out, "  \"schedulers\": [{}],", strings(&self.schedulers));
-        let _ = writeln!(out, "  \"benchmarks\": [{}],", strings(&self.benchmarks));
-        let loads: Vec<String> = self.loads.iter().map(|v| format!("{v}")).collect();
-        let _ = writeln!(out, "  \"loads\": [{}],", loads.join(", "));
-        let grids: Vec<String> = self
-            .grids
-            .iter()
-            .map(|(w, h)| format!("\"{w}x{h}\""))
-            .collect();
-        let _ = writeln!(out, "  \"grids\": [{}],", grids.join(", "));
-        let seeds: Vec<String> = self.seeds.iter().map(|s| format!("{s}")).collect();
-        let _ = writeln!(out, "  \"seeds\": [{}],", seeds.join(", "));
-        let plans: Vec<String> = self
-            .fault_plans
-            .iter()
-            .map(|p| compact(&p.to_json_string()))
-            .collect();
-        let _ = writeln!(out, "  \"fault_plans\": [{}],", plans.join(", "));
-        let _ = writeln!(out, "  \"thermal\": \"{}\",", self.thermal.name());
-        let _ = writeln!(out, "  \"horizon_seconds\": {},", self.horizon_seconds);
-        let _ = writeln!(out, "  \"open_jobs\": {},", self.open_jobs);
-        let _ = writeln!(out, "  \"rate_per_s\": {}", self.rate_per_s);
-        out.push_str("}\n");
+        strings(o.key("schedulers"), &self.schedulers);
+        strings(o.key("benchmarks"), &self.benchmarks);
+        push_list(
+            o.key("loads"),
+            Layout::Line,
+            self.loads.iter().copied(),
+            push_float,
+        );
+        push_list(o.key("grids"), Layout::Line, &self.grids, |out, (w, h)| {
+            let _ = write!(out, "\"{w}x{h}\"");
+        });
+        push_list(o.key("seeds"), Layout::Line, &self.seeds, push_lit);
+        push_list(
+            o.key("fault_plans"),
+            Layout::Line,
+            &self.fault_plans,
+            |out, p| p.write_json(out, true),
+        );
+        o.str("thermal", self.thermal.name())
+            .f64("horizon_seconds", self.horizon_seconds)
+            .lit("open_jobs", self.open_jobs)
+            .f64("rate_per_s", self.rate_per_s);
+        o.close();
+        out.push('\n');
         out
     }
 
@@ -336,60 +318,6 @@ fn parse_benchmark(name: &str) -> Option<Benchmark> {
     Benchmark::all().into_iter().find(|b| b.name() == name)
 }
 
-fn string_axis(doc: &Json, key: &str) -> Result<Option<Vec<String>>> {
-    match doc.get(key) {
-        None => Ok(None),
-        Some(Json::Arr(items)) => {
-            let mut out = Vec::new();
-            for item in items {
-                out.push(
-                    item.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| non_string(key))?,
-                );
-            }
-            Ok(Some(out))
-        }
-        Some(_) => Err(non_string(key)),
-    }
-}
-
-fn f64_axis(doc: &Json, key: &str) -> Result<Option<Vec<f64>>> {
-    match doc.get(key) {
-        None => Ok(None),
-        Some(Json::Arr(items)) => {
-            let mut out = Vec::new();
-            for item in items {
-                out.push(item.as_f64().ok_or_else(|| non_number(key))?);
-            }
-            Ok(Some(out))
-        }
-        Some(_) => Err(non_number(key)),
-    }
-}
-
-fn u64_axis(doc: &Json, key: &str) -> Result<Option<Vec<u64>>> {
-    match doc.get(key) {
-        None => Ok(None),
-        Some(Json::Arr(items)) => {
-            let mut out = Vec::new();
-            for item in items {
-                out.push(item.as_u64().ok_or_else(|| non_number(key))?);
-            }
-            Ok(Some(out))
-        }
-        Some(_) => Err(non_number(key)),
-    }
-}
-
-fn non_string(key: &str) -> CampaignError {
-    CampaignError::Spec(format!("`{key}` must be an array of strings"))
-}
-
-fn non_number(key: &str) -> CampaignError {
-    CampaignError::Spec(format!("`{key}` must be an array of numbers"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -503,6 +431,74 @@ mod tests {
             "{\"schedulers\": [\"hotpotato\"], \"grids\": [\"4by4\"]}"
         )
         .is_err());
+        // Malformed JSON and repeated keys are typed errors, never a
+        // silent last-wins.
+        assert!(matches!(
+            SweepSpec::from_json_str("{\"schedulers\": [\"hotpotato\"],, }"),
+            Err(CampaignError::Spec(_))
+        ));
+        let err = SweepSpec::from_json_str(
+            "{\"schedulers\": [\"hotpotato\"], \"schedulers\": [\"pcmig\"]}",
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("duplicate key"), "{err}");
+        let err = SweepSpec::from_json_str(
+            "{\"schedulers\": [\"hotpotato\"], \"fault_plans\": [{\"seed\": 1, \"seed\": 2}]}",
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("duplicate key `seed`"), "{err}");
+        // `open_jobs` is a checked conversion: fractions, negatives and
+        // values past u64 are rejected instead of truncated.
+        for bad in ["1.5", "-3", "18446744073709551616"] {
+            let src = format!("{{\"schedulers\": [\"hotpotato\"], \"open_jobs\": {bad}}}");
+            assert!(SweepSpec::from_json_str(&src).is_err(), "{bad}");
+        }
+        // Hostile nesting is a typed error, not a stack overflow.
+        let src = format!("{{\"schedulers\": {}", "[".repeat(200_000));
+        let err = SweepSpec::from_json_str(&src).unwrap_err();
+        assert!(err.to_string().contains("nests deeper than"), "{err}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// encode → decode → encode is byte-identical over valid specs.
+        #[test]
+        fn encode_decode_encode_is_byte_identical(
+            schedulers in proptest::collection::vec(0usize..SCHEDULER_NAMES.len(), 1..4),
+            loads in proptest::collection::vec(1e-3..8.0f64, 1..4),
+            grids in proptest::collection::vec((1usize..17, 1usize..17), 1..3),
+            seeds in proptest::collection::vec(0u64..u64::MAX, 1..4),
+            plan in (0u64..u64::MAX, 0.0..1.0f64, 0.0..10.0f64),
+            knobs in (1e-3..100.0f64, 0usize..10_000, 1e-3..1e3f64, 0u8..2, 0u8..2),
+        ) {
+            let (horizon_seconds, open_jobs, rate_per_s, mixed, ill) = knobs;
+            let mut spec = SweepSpec::new(schedulers.iter().map(|&i| SCHEDULER_NAMES[i]));
+            spec.benchmarks = if mixed == 1 {
+                vec![MIXED.into(), "canneal".into()]
+            } else {
+                vec!["x264".into()]
+            };
+            spec.loads = loads;
+            spec.grids = grids;
+            spec.seeds = seeds;
+            spec.fault_plans.push(FaultPlan {
+                seed: plan.0,
+                sensor_dropout_rate: plan.1,
+                power_spike_watts: plan.2,
+                ..FaultPlan::default()
+            });
+            if ill == 1 {
+                spec.thermal = ThermalProfile::IllConditioned;
+            }
+            spec.horizon_seconds = horizon_seconds;
+            spec.open_jobs = open_jobs;
+            spec.rate_per_s = rate_per_s;
+            let text = spec.to_json_string();
+            let back = SweepSpec::from_json_str(&text);
+            proptest::prop_assert_eq!(back.as_ref(), Ok(&spec));
+            proptest::prop_assert_eq!(back.map(|s| s.to_json_string()), Ok(text));
+        }
     }
 
     #[test]

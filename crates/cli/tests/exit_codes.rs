@@ -225,3 +225,56 @@ fn simulate_checkpoint_flags_must_pair() {
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(1), "{out:?}");
 }
+
+/// 200 000 nested brackets used to overflow the recursive JSON parser's
+/// stack (SIGABRT, exit 134). Both places a sweep reads such input —
+/// the spec and, under `--resume true`, the manifest — now fail with
+/// exit 1 and name the nesting limit.
+#[test]
+fn deeply_nested_json_exits_one_instead_of_overflowing() {
+    let deep = "[".repeat(200_000);
+    let spec = tmp("deep_spec.json");
+    std::fs::write(&spec, format!("{{\"schedulers\": {deep}")).expect("spec written");
+    let out = cli()
+        .args(["sweep", "--spec", spec.to_str().expect("utf-8")])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("nests deeper than 128 levels"),
+        "stderr: {stderr}"
+    );
+
+    let dir = tmp("deep_resume");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("out dir");
+    std::fs::write(dir.join("manifest.jsonl"), format!("{{\"label\": {deep}\n"))
+        .expect("manifest written");
+    std::fs::write(
+        &spec,
+        "{\"schedulers\": [\"pinned\"], \"grids\": [\"4x4\"], \"loads\": [0.25], \
+         \"horizon_seconds\": 2}",
+    )
+    .expect("spec written");
+    let out = cli()
+        .args([
+            "sweep",
+            "--spec",
+            spec.to_str().expect("utf-8"),
+            "--out",
+            dir.to_str().expect("utf-8"),
+            "--resume",
+            "true",
+        ])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("manifest.jsonl") && stderr.contains("nests deeper than 128 levels"),
+        "stderr: {stderr}"
+    );
+    std::fs::remove_file(&spec).ok();
+    let _ = std::fs::remove_dir_all(&dir);
+}

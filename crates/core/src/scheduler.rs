@@ -25,10 +25,12 @@
 //!   cores is the mean). `T_peak` is the max over per-ring evaluations.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::time::Instant;
 
 use hp_floorplan::CoreId;
 use hp_linalg::{Matrix, Vector};
+use hp_obs::json::{self, push_float_tagged, push_list, push_lit, Cursor, Layout, Obj};
 use hp_obs::{Registry, RunReport};
 use hp_sim::{Action, Scheduler, SchedulerHealth, SimView, ThreadId};
 use hp_thermal::RcThermalModel;
@@ -437,48 +439,86 @@ impl HotPotato {
     }
 }
 
-/// Encodes an `f64` for a scheduler snapshot blob: finite values as JSON
-/// numbers in shortest round-trip form, non-finite values as the strings
-/// `"inf"` / `"-inf"` / `"nan"` (JSON has no literals for them).
-fn snap_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else if v.is_nan() {
-        "\"nan\"".to_string()
-    } else if v > 0.0 {
-        "\"inf\"".to_string()
-    } else {
-        "\"-inf\"".to_string()
-    }
-}
+/// Layout of scheduler snapshot blobs.
+const C: Layout = Layout::Canonical;
 
-/// Decodes a float written by [`snap_f64`].
-fn unsnap_f64(v: &hp_obs::json::Json, what: &str) -> std::result::Result<f64, String> {
-    use hp_obs::json::Json;
-    let parsed = match v {
-        Json::Num(_) => v.as_f64(),
-        Json::Str(s) => match s.as_str() {
-            "inf" => Some(f64::INFINITY),
-            "-inf" => Some(f64::NEG_INFINITY),
-            "nan" => Some(f64::NAN),
-            _ => None,
-        },
-        _ => None,
-    };
-    parsed.ok_or_else(|| format!("hotpotato snapshot: bad {what}"))
-}
+impl HotPotato {
+    /// Applies a [`Scheduler::snapshot`] blob; errors name the field.
+    fn apply_snapshot(&mut self, state: &str) -> hp_obs::Result<()> {
+        let parsed = json::parse(state)?;
+        let doc = parsed.cursor("snapshot");
+        let thread = |job: &Cursor<'_>, index: &Cursor<'_>| -> hp_obs::Result<ThreadId> {
+            Ok(ThreadId {
+                job: hp_sim::JobId(job.usize()?),
+                index: index.usize()?,
+            })
+        };
 
-/// Decodes a non-negative integer field of a scheduler snapshot blob.
-fn unsnap_u64(v: &hp_obs::json::Json, what: &str) -> std::result::Result<u64, String> {
-    v.as_u64()
-        .ok_or_else(|| format!("hotpotato snapshot: bad {what}"))
-}
+        // Ring occupancy: stash for the first `schedule` call — rings are
+        // built lazily from the machine, which `restore` cannot see.
+        let rings = doc.field("rings")?;
+        self.restored_slots = if rings.is_null() {
+            None
+        } else {
+            Some(rings.list(|ring| {
+                ring.list(|seat| {
+                    let [slot, job, index] = seat.tuple()?;
+                    Ok((slot.usize()?, thread(&job, &index)?))
+                })
+            })?)
+        };
 
-/// Decodes a boolean field of a scheduler snapshot blob.
-fn unsnap_bool(v: &hp_obs::json::Json, what: &str) -> std::result::Result<bool, String> {
-    match v {
-        hp_obs::json::Json::Bool(b) => Ok(*b),
-        _ => Err(format!("hotpotato snapshot: bad {what}")),
+        let tau = doc.field("tau_index")?;
+        let levels = self.config.tau_levels.len();
+        let tau_index = tau.usize()?;
+        if tau_index >= levels {
+            return Err(tau.error(&format!("an index below {levels}")));
+        }
+        self.tau_index = tau_index;
+        self.rotating = doc.field("rotating")?.bool()?;
+        self.last_rotation = doc.field("last_rotation")?.f64_tagged()?;
+        self.last_peak = doc.field("last_peak")?.f64_tagged()?;
+        self.last_evaluation = doc.field("last_evaluation")?.f64_tagged()?;
+        self.assignment_dirty = doc.field("assignment_dirty")?.bool()?;
+        self.powers = doc
+            .field("powers")?
+            .list(|entry| {
+                let [job, index, power] = entry.tuple()?;
+                Ok((thread(&job, &index)?, power.f64_tagged()?))
+            })?
+            .into_iter()
+            .collect();
+        self.evaluations = doc.field("evaluations")?.u64()?;
+        self.solver_failures = doc.field("solver_failures")?.u64()?;
+
+        let [calls, candidates, hits, misses] = doc.field("alg1_stats")?.tuple()?;
+        let stats = Alg1Stats {
+            batch_calls: calls.u64()?,
+            batched_candidates: candidates.u64()?,
+            decay_cache_hits: hits.u64()?,
+            decay_cache_misses: misses.u64()?,
+        };
+        let taus = doc.field("cached_taus")?.list(Cursor::f64_tagged)?;
+        // Re-warm exactly the decay chains the snapshotted solver had
+        // cached, then overwrite the stats (discarding the warm-up
+        // misses) so every subsequent lookup hits and the alg1.* counters
+        // in the final report match an uninterrupted run bit-for-bit.
+        self.solver.reset_stats();
+        for tau in taus {
+            self.solver.warm_decay_cache(tau);
+        }
+        self.solver.restore_stats(stats);
+        // Numerics tallies: optional for snapshots taken before the
+        // numerical-integrity layer existed (absent means all-zero).
+        if let Some(numerics) = doc.opt("numerics_stats") {
+            let [activations, steps, trips] = numerics.tuple()?;
+            self.solver.restore_numerics(hp_thermal::NumericsStats {
+                fallback_activations: activations.u64()?,
+                fallback_steps: steps.u64()?,
+                guard_trips: trips.u64()?,
+            });
+        }
+        Ok(())
     }
 }
 
@@ -528,203 +568,72 @@ impl Scheduler for HotPotato {
     // histograms in `obs` are wall-clock noise and deliberately excluded —
     // reports are compared with timings stripped.
     fn snapshot(&self) -> Option<String> {
-        use std::fmt::Write as _;
-        let mut s = String::from("{\"rings\":");
+        let mut out = String::new();
+        let mut s = Obj::open(&mut out, C);
+        let seat = |out: &mut String, (slot, t): (usize, ThreadId)| {
+            push_list(out, C, [slot, t.job.0, t.index], push_lit);
+        };
         if let Some(pending) = &self.restored_slots {
             // Restored occupancy not yet applied (no `schedule` call since
             // `restore`): re-emit it verbatim so a checkpoint taken in
             // that window still carries the seats.
-            s.push('[');
-            for (ri, seats) in pending.iter().enumerate() {
-                if ri > 0 {
-                    s.push(',');
-                }
-                s.push('[');
-                for (si, (slot, t)) in seats.iter().enumerate() {
-                    if si > 0 {
-                        s.push(',');
-                    }
-                    let _ = write!(s, "[{},{},{}]", slot, t.job.0, t.index);
-                }
-                s.push(']');
-            }
-            s.push(']');
+            push_list(s.key("rings"), C, pending, |out, seats| {
+                push_list(out, C, seats.iter().copied(), seat);
+            });
         } else if self.rings.is_empty() {
-            s.push_str("null");
+            s.key("rings").push_str("null");
         } else {
-            s.push('[');
-            for (ri, ring) in self.rings.iter().enumerate() {
-                if ri > 0 {
-                    s.push(',');
-                }
-                s.push('[');
-                let mut first = true;
-                for slot in 0..ring.capacity() {
-                    if let Some(t) = ring.occupant(slot) {
-                        if !first {
-                            s.push(',');
-                        }
-                        first = false;
-                        let _ = write!(s, "[{},{},{}]", slot, t.job.0, t.index);
-                    }
-                }
-                s.push(']');
-            }
-            s.push(']');
+            push_list(s.key("rings"), C, &self.rings, |out, ring| {
+                let seats =
+                    (0..ring.capacity()).filter_map(|slot| ring.occupant(slot).map(|t| (slot, t)));
+                push_list(out, C, seats, seat);
+            });
         }
-        let _ = write!(s, ",\"tau_index\":{}", self.tau_index);
-        let _ = write!(s, ",\"rotating\":{}", self.rotating);
-        let _ = write!(s, ",\"last_rotation\":{}", snap_f64(self.last_rotation));
-        let _ = write!(s, ",\"last_peak\":{}", snap_f64(self.last_peak));
-        let _ = write!(s, ",\"last_evaluation\":{}", snap_f64(self.last_evaluation));
-        let _ = write!(s, ",\"assignment_dirty\":{}", self.assignment_dirty);
-        s.push_str(",\"powers\":[");
-        for (i, (t, p)) in self.powers.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "[{},{},{}]", t.job.0, t.index, snap_f64(*p));
-        }
-        s.push(']');
-        let _ = write!(s, ",\"evaluations\":{}", self.evaluations);
-        let _ = write!(s, ",\"solver_failures\":{}", self.solver_failures);
+        s.lit("tau_index", self.tau_index)
+            .lit("rotating", self.rotating)
+            .f64_tagged("last_rotation", self.last_rotation)
+            .f64_tagged("last_peak", self.last_peak)
+            .f64_tagged("last_evaluation", self.last_evaluation)
+            .lit("assignment_dirty", self.assignment_dirty);
+        push_list(s.key("powers"), C, &self.powers, |out, (t, &p)| {
+            let _ = write!(out, "[{},{},", t.job.0, t.index);
+            push_float_tagged(out, p);
+            out.push(']');
+        });
+        s.lit("evaluations", self.evaluations)
+            .lit("solver_failures", self.solver_failures);
         let st = self.solver.stats();
-        let _ = write!(
-            s,
-            ",\"alg1_stats\":[{},{},{},{}]",
-            st.batch_calls, st.batched_candidates, st.decay_cache_hits, st.decay_cache_misses
+        push_list(
+            s.key("alg1_stats"),
+            C,
+            [
+                st.batch_calls,
+                st.batched_candidates,
+                st.decay_cache_hits,
+                st.decay_cache_misses,
+            ],
+            push_lit,
         );
         let nu = self.solver.numerics();
-        let _ = write!(
-            s,
-            ",\"numerics_stats\":[{},{},{}]",
-            nu.fallback_activations, nu.fallback_steps, nu.guard_trips
+        push_list(
+            s.key("numerics_stats"),
+            C,
+            [nu.fallback_activations, nu.fallback_steps, nu.guard_trips],
+            push_lit,
         );
-        s.push_str(",\"cached_taus\":[");
-        for (i, tau) in self.solver.cached_taus().iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{}", snap_f64(*tau));
-        }
-        s.push_str("]}");
-        Some(s)
+        push_list(
+            s.key("cached_taus"),
+            C,
+            self.solver.cached_taus(),
+            push_float_tagged,
+        );
+        s.close();
+        Some(out)
     }
 
     fn restore(&mut self, state: &str) -> std::result::Result<(), String> {
-        use hp_obs::json::Json;
-        let doc = hp_obs::json::parse(state).map_err(|e| format!("hotpotato snapshot: {e}"))?;
-        let field = |name: &str| {
-            doc.get(name)
-                .ok_or_else(|| format!("hotpotato snapshot: missing `{name}`"))
-        };
-
-        // Ring occupancy: stash for the first `schedule` call — rings are
-        // built lazily from the machine, which `restore` cannot see.
-        self.restored_slots = match field("rings")? {
-            Json::Null => None,
-            Json::Arr(rings) => {
-                let mut all = Vec::with_capacity(rings.len());
-                for ring in rings {
-                    let Json::Arr(entries) = ring else {
-                        return Err("hotpotato snapshot: ring must be a list".into());
-                    };
-                    let mut seats = Vec::with_capacity(entries.len());
-                    for e in entries {
-                        let Json::Arr(t) = e else {
-                            return Err("hotpotato snapshot: seat must be a triple".into());
-                        };
-                        let (Some(slot), Some(job), Some(index)) = (t.first(), t.get(1), t.get(2))
-                        else {
-                            return Err("hotpotato snapshot: seat must be a triple".into());
-                        };
-                        let slot = unsnap_u64(slot, "seat slot")? as usize;
-                        let tid = ThreadId {
-                            job: hp_sim::JobId(unsnap_u64(job, "seat job")? as usize),
-                            index: unsnap_u64(index, "seat thread index")? as usize,
-                        };
-                        seats.push((slot, tid));
-                    }
-                    all.push(seats);
-                }
-                Some(all)
-            }
-            _ => return Err("hotpotato snapshot: `rings` must be null or a list".into()),
-        };
-
-        let tau_index = unsnap_u64(field("tau_index")?, "tau_index")? as usize;
-        if tau_index >= self.config.tau_levels.len() {
-            return Err(format!(
-                "hotpotato snapshot: tau_index {tau_index} out of range for {} levels",
-                self.config.tau_levels.len()
-            ));
-        }
-        self.tau_index = tau_index;
-        self.rotating = unsnap_bool(field("rotating")?, "rotating")?;
-        self.last_rotation = unsnap_f64(field("last_rotation")?, "last_rotation")?;
-        self.last_peak = unsnap_f64(field("last_peak")?, "last_peak")?;
-        self.last_evaluation = unsnap_f64(field("last_evaluation")?, "last_evaluation")?;
-        self.assignment_dirty = unsnap_bool(field("assignment_dirty")?, "assignment_dirty")?;
-
-        let Json::Arr(powers) = field("powers")? else {
-            return Err("hotpotato snapshot: `powers` must be a list".into());
-        };
-        self.powers.clear();
-        for e in powers {
-            let Json::Arr(t) = e else {
-                return Err("hotpotato snapshot: power entry must be a triple".into());
-            };
-            let (Some(job), Some(index), Some(power)) = (t.first(), t.get(1), t.get(2)) else {
-                return Err("hotpotato snapshot: power entry must be a triple".into());
-            };
-            let tid = ThreadId {
-                job: hp_sim::JobId(unsnap_u64(job, "power job")? as usize),
-                index: unsnap_u64(index, "power thread index")? as usize,
-            };
-            self.powers.insert(tid, unsnap_f64(power, "power value")?);
-        }
-
-        self.evaluations = unsnap_u64(field("evaluations")?, "evaluations")?;
-        self.solver_failures = unsnap_u64(field("solver_failures")?, "solver_failures")?;
-
-        let Json::Arr(stats) = field("alg1_stats")? else {
-            return Err("hotpotato snapshot: `alg1_stats` must be a list".into());
-        };
-        let (Some(bc), Some(bs), Some(h), Some(m)) =
-            (stats.first(), stats.get(1), stats.get(2), stats.get(3))
-        else {
-            return Err("hotpotato snapshot: `alg1_stats` must hold four counters".into());
-        };
-        let Json::Arr(taus) = field("cached_taus")? else {
-            return Err("hotpotato snapshot: `cached_taus` must be a list".into());
-        };
-        // Re-warm exactly the decay chains the snapshotted solver had
-        // cached, then overwrite the stats (discarding the warm-up
-        // misses) so every subsequent lookup hits and the alg1.* counters
-        // in the final report match an uninterrupted run bit-for-bit.
-        self.solver.reset_stats();
-        for tau in taus {
-            self.solver.warm_decay_cache(unsnap_f64(tau, "cached tau")?);
-        }
-        self.solver.restore_stats(Alg1Stats {
-            batch_calls: unsnap_u64(bc, "alg1 batch_calls")?,
-            batched_candidates: unsnap_u64(bs, "alg1 batched_candidates")?,
-            decay_cache_hits: unsnap_u64(h, "alg1 decay_cache_hits")?,
-            decay_cache_misses: unsnap_u64(m, "alg1 decay_cache_misses")?,
-        });
-        // Numerics tallies: optional for snapshots taken before the
-        // numerical-integrity layer existed (absent means all-zero).
-        if let Some(Json::Arr(nu)) = doc.get("numerics_stats") {
-            let (Some(a), Some(st), Some(g)) = (nu.first(), nu.get(1), nu.get(2)) else {
-                return Err("hotpotato snapshot: `numerics_stats` must hold three counters".into());
-            };
-            self.solver.restore_numerics(hp_thermal::NumericsStats {
-                fallback_activations: unsnap_u64(a, "numerics fallback_activations")?,
-                fallback_steps: unsnap_u64(st, "numerics fallback_steps")?,
-                guard_trips: unsnap_u64(g, "numerics guard_trips")?,
-            });
-        }
-        Ok(())
+        self.apply_snapshot(state)
+            .map_err(|e| format!("hotpotato snapshot: {e}"))
     }
 
     fn schedule(&mut self, view: &SimView<'_>) -> Vec<Action> {

@@ -33,6 +33,14 @@ impl fmt::Display for FaultError {
 
 impl Error for FaultError {}
 
+impl From<hp_obs::ObsError> for FaultError {
+    fn from(e: hp_obs::ObsError) -> Self {
+        FaultError::Parse {
+            message: e.to_string(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

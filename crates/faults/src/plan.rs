@@ -1,8 +1,23 @@
-use serde::{Deserialize, Serialize};
+use hp_obs::json::{self, Json, Layout, Obj};
 
 use crate::{FaultError, Result};
 
-/// A deterministic, serde-visible fault-injection plan.
+/// The JSON member names of a plan, in document order.
+const FIELDS: [&str; 11] = [
+    "seed",
+    "sensor_noise_sigma_celsius",
+    "sensor_stuck_rate",
+    "sensor_stuck_intervals",
+    "sensor_dropout_rate",
+    "migration_failure_rate",
+    "migration_blackout_intervals",
+    "power_spike_rate",
+    "power_spike_watts",
+    "power_spike_intervals",
+    "force_active",
+];
+
+/// A deterministic, JSON-configurable fault-injection plan.
 ///
 /// All rates are per-draw probabilities in `[0, 1]` and default to zero:
 /// `FaultPlan::default()` is *inert* ([`is_inert`](FaultPlan::is_inert)
@@ -28,7 +43,7 @@ use crate::{FaultError, Result};
 /// assert!(plan.validate().is_ok());
 /// assert!(FaultPlan::default().is_inert());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     /// RNG seed; the whole fault sequence is a pure function of the seed
     /// and the engine's call order.
@@ -140,43 +155,62 @@ impl FaultPlan {
     /// Parses a plan from a flat JSON object, e.g.
     /// `{"seed": 42, "sensor_dropout_rate": 0.05}`.
     ///
-    /// Absent fields keep their [`Default`] value; unknown fields are an
-    /// error (they are almost certainly typos that would otherwise turn a
-    /// chaos experiment into a silent no-op). The workspace deliberately
-    /// carries no JSON backend, so this is a minimal hand parser for the
-    /// one flat shape a plan can take.
+    /// Absent fields keep their [`Default`] value. Unknown and repeated
+    /// fields are errors: they are almost certainly typos or edit
+    /// slips that would otherwise turn a chaos experiment into a silent
+    /// no-op.
     ///
     /// # Errors
     ///
-    /// Returns [`FaultError::Parse`] on malformed JSON or unknown keys,
-    /// and [`FaultError::InvalidParameter`] when the parsed plan fails
+    /// Returns [`FaultError::Parse`] on malformed JSON, unknown or
+    /// duplicate keys and mistyped values, and
+    /// [`FaultError::InvalidParameter`] when the parsed plan fails
     /// [`validate`](FaultPlan::validate).
     pub fn from_json_str(json: &str) -> Result<Self> {
-        let mut plan = FaultPlan::default();
-        let body = json.trim();
-        let body = body
-            .strip_prefix('{')
-            .and_then(|b| b.strip_suffix('}'))
-            .ok_or_else(|| FaultError::Parse {
-                message: "expected a top-level JSON object".into(),
-            })?;
-        for part in split_top_level(body) {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
+        Self::from_json(&json::parse(json)?)
+    }
+
+    /// Decodes a plan from an already-parsed JSON object (e.g. one
+    /// embedded in a sweep spec), under the rules of
+    /// [`from_json_str`](FaultPlan::from_json_str).
+    ///
+    /// # Errors
+    ///
+    /// As [`from_json_str`](FaultPlan::from_json_str), minus syntax.
+    pub fn from_json(doc: &Json) -> Result<Self> {
+        let doc = doc.cursor("plan");
+        doc.strict(&FIELDS)?;
+        let int = |key: &str, slot: &mut u64| -> hp_obs::Result<()> {
+            if let Some(v) = doc.opt(key) {
+                *slot = v.u64()?;
             }
-            let (raw_key, raw_value) = part.split_once(':').ok_or_else(|| FaultError::Parse {
-                message: format!("expected `\"key\": value`, got `{part}`"),
-            })?;
-            let key = raw_key
-                .trim()
-                .strip_prefix('"')
-                .and_then(|k| k.strip_suffix('"'))
-                .ok_or_else(|| FaultError::Parse {
-                    message: format!("key `{}` must be double-quoted", raw_key.trim()),
-                })?;
-            let value = raw_value.trim();
-            plan.set_field(key, value)?;
+            Ok(())
+        };
+        let num = |key: &str, slot: &mut f64| -> hp_obs::Result<()> {
+            if let Some(v) = doc.opt(key) {
+                *slot = v.f64()?;
+            }
+            Ok(())
+        };
+        let mut plan = FaultPlan::default();
+        int("seed", &mut plan.seed)?;
+        num(
+            "sensor_noise_sigma_celsius",
+            &mut plan.sensor_noise_sigma_celsius,
+        )?;
+        num("sensor_stuck_rate", &mut plan.sensor_stuck_rate)?;
+        int("sensor_stuck_intervals", &mut plan.sensor_stuck_intervals)?;
+        num("sensor_dropout_rate", &mut plan.sensor_dropout_rate)?;
+        num("migration_failure_rate", &mut plan.migration_failure_rate)?;
+        int(
+            "migration_blackout_intervals",
+            &mut plan.migration_blackout_intervals,
+        )?;
+        num("power_spike_rate", &mut plan.power_spike_rate)?;
+        num("power_spike_watts", &mut plan.power_spike_watts)?;
+        int("power_spike_intervals", &mut plan.power_spike_intervals)?;
+        if let Some(v) = doc.opt("force_active") {
+            plan.force_active = v.bool()?;
         }
         plan.validate()?;
         Ok(plan)
@@ -185,90 +219,42 @@ impl FaultPlan {
     /// Renders the plan as the flat JSON object
     /// [`from_json_str`](FaultPlan::from_json_str) accepts.
     pub fn to_json_string(&self) -> String {
-        format!(
-            "{{\n  \"seed\": {},\n  \"sensor_noise_sigma_celsius\": {},\n  \
-             \"sensor_stuck_rate\": {},\n  \"sensor_stuck_intervals\": {},\n  \
-             \"sensor_dropout_rate\": {},\n  \"migration_failure_rate\": {},\n  \
-             \"migration_blackout_intervals\": {},\n  \"power_spike_rate\": {},\n  \
-             \"power_spike_watts\": {},\n  \"power_spike_intervals\": {},\n  \
-             \"force_active\": {}\n}}\n",
-            self.seed,
-            self.sensor_noise_sigma_celsius,
-            self.sensor_stuck_rate,
-            self.sensor_stuck_intervals,
-            self.sensor_dropout_rate,
-            self.migration_failure_rate,
-            self.migration_blackout_intervals,
-            self.power_spike_rate,
-            self.power_spike_watts,
-            self.power_spike_intervals,
-            self.force_active,
-        )
+        let mut out = String::with_capacity(384);
+        self.write_json(&mut out, false);
+        out.push('\n');
+        out
     }
 
-    fn set_field(&mut self, key: &str, value: &str) -> Result<()> {
-        fn num(key: &str, value: &str) -> Result<f64> {
-            value.parse().map_err(|_| FaultError::Parse {
-                message: format!("field `{key}`: `{value}` is not a number"),
-            })
-        }
-        fn int(key: &str, value: &str) -> Result<u64> {
-            value.parse().map_err(|_| FaultError::Parse {
-                message: format!("field `{key}`: `{value}` is not a non-negative integer"),
-            })
-        }
-        match key {
-            "seed" => self.seed = int(key, value)?,
-            "sensor_noise_sigma_celsius" => self.sensor_noise_sigma_celsius = num(key, value)?,
-            "sensor_stuck_rate" => self.sensor_stuck_rate = num(key, value)?,
-            "sensor_stuck_intervals" => self.sensor_stuck_intervals = int(key, value)?,
-            "sensor_dropout_rate" => self.sensor_dropout_rate = num(key, value)?,
-            "migration_failure_rate" => self.migration_failure_rate = num(key, value)?,
-            "migration_blackout_intervals" => {
-                self.migration_blackout_intervals = int(key, value)?;
-            }
-            "power_spike_rate" => self.power_spike_rate = num(key, value)?,
-            "power_spike_watts" => self.power_spike_watts = num(key, value)?,
-            "power_spike_intervals" => self.power_spike_intervals = int(key, value)?,
-            "force_active" => {
-                self.force_active = match value {
-                    "true" => true,
-                    "false" => false,
-                    other => {
-                        return Err(FaultError::Parse {
-                            message: format!("field `force_active`: `{other}` is not a bool"),
-                        })
-                    }
-                }
-            }
-            other => {
-                return Err(FaultError::Parse {
-                    message: format!("unknown fault-plan field `{other}`"),
-                })
-            }
-        }
-        Ok(())
+    /// Writes the plan into `out`: pretty-printed as by
+    /// [`to_json_string`](FaultPlan::to_json_string) (without its final
+    /// newline) or, with `compact`, on one line as embedded in a sweep
+    /// spec.
+    pub fn write_json(&self, out: &mut String, compact: bool) {
+        let layout = if compact {
+            Layout::Compact
+        } else {
+            Layout::Pretty(0)
+        };
+        let mut o = Obj::open(out, layout);
+        o.lit("seed", self.seed)
+            .f64(
+                "sensor_noise_sigma_celsius",
+                self.sensor_noise_sigma_celsius,
+            )
+            .f64("sensor_stuck_rate", self.sensor_stuck_rate)
+            .lit("sensor_stuck_intervals", self.sensor_stuck_intervals)
+            .f64("sensor_dropout_rate", self.sensor_dropout_rate)
+            .f64("migration_failure_rate", self.migration_failure_rate)
+            .lit(
+                "migration_blackout_intervals",
+                self.migration_blackout_intervals,
+            )
+            .f64("power_spike_rate", self.power_spike_rate)
+            .f64("power_spike_watts", self.power_spike_watts)
+            .lit("power_spike_intervals", self.power_spike_intervals)
+            .lit("force_active", self.force_active);
+        o.close();
     }
-}
-
-/// Splits on commas, ignoring commas inside strings (keys are the only
-/// strings a flat numeric plan contains, but stay robust anyway).
-fn split_top_level(body: &str) -> Vec<&str> {
-    let mut parts = Vec::new();
-    let mut start = 0;
-    let mut in_string = false;
-    for (i, c) in body.char_indices() {
-        match c {
-            '"' => in_string = !in_string,
-            ',' if !in_string => {
-                parts.push(&body[start..i]);
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    parts.push(&body[start..]);
-    parts
 }
 
 #[cfg(test)]
@@ -390,11 +376,110 @@ mod tests {
         assert!(FaultPlan::from_json_str(r#"{"force_active": 1}"#).is_err());
         assert!(FaultPlan::from_json_str(r#"{"sensor_dropout_rate": 2.0}"#).is_err());
         assert!(FaultPlan::from_json_str(r#"{seed: 3}"#).is_err());
+        // Malformed JSON with a repeated key: no silent last-wins.
+        assert!(matches!(
+            FaultPlan::from_json_str(r#"{"seed": 1,, "seed": 2,}"#),
+            Err(FaultError::Parse { .. })
+        ));
+        let err = FaultPlan::from_json_str(r#"{"seed": 1, "seed": 2}"#).unwrap_err();
+        assert!(err.to_string().contains("duplicate key `seed`"), "{err}");
     }
 
     #[test]
     fn json_empty_object_is_default() {
         let plan = FaultPlan::from_json_str("{}").expect("empty object parses");
         assert_eq!(plan, FaultPlan::default());
+    }
+
+    fn parse_message(json: &str) -> String {
+        match FaultPlan::from_json_str(json) {
+            Err(FaultError::Parse { message }) => message,
+            other => panic!("{json:?} gave {other:?}"),
+        }
+    }
+
+    #[test]
+    fn json_rejects_integers_that_do_not_fit_u64() {
+        for bad in ["-1", "1.5", "1e3", "18446744073709551616"] {
+            let message = parse_message(&format!(r#"{{"seed": {bad}}}"#));
+            assert!(message.contains("`plan.seed`"), "{bad}: {message}");
+        }
+        let plan = FaultPlan::from_json_str(r#"{"seed": 18446744073709551615}"#).unwrap();
+        assert_eq!(plan.seed, u64::MAX);
+    }
+
+    #[test]
+    fn json_errors_name_the_offending_field() {
+        let message = parse_message(r#"{"power_spike_watts": "4"}"#);
+        assert!(
+            message.contains("`plan.power_spike_watts` is not a number"),
+            "{message}"
+        );
+        let message = parse_message(r#"{"force_active": "yes"}"#);
+        assert!(
+            message.contains("`plan.force_active` is not a boolean"),
+            "{message}"
+        );
+    }
+
+    #[test]
+    fn json_null_rate_is_nan_and_fails_validation() {
+        assert!(matches!(
+            FaultPlan::from_json_str(r#"{"sensor_dropout_rate": null}"#),
+            Err(FaultError::InvalidParameter {
+                name: "sensor_dropout_rate",
+                value,
+            }) if value.is_nan()
+        ));
+    }
+
+    #[test]
+    fn json_non_object_documents_are_rejected() {
+        for doc in ["[]", "42", "null", r#""seed""#] {
+            let message = parse_message(doc);
+            assert!(
+                message.contains("`plan` is not an object"),
+                "{doc}: {message}"
+            );
+        }
+    }
+
+    #[test]
+    fn json_too_deep_plan_is_a_parse_error() {
+        let deep = format!(r#"{{"seed": {}"#, "[".repeat(100_000));
+        let message = parse_message(&deep);
+        assert!(message.contains("nests deeper than"), "{message}");
+    }
+
+    #[test]
+    fn pretty_layout_lists_every_field_once_in_order() {
+        let json = FaultPlan::default().to_json_string();
+        assert!(json.starts_with("{\n  \"seed\": 0,\n"), "{json}");
+        assert!(json.ends_with("\n}\n"), "{json}");
+        let mut from = 0;
+        for field in FIELDS {
+            let key = format!("\n  \"{field}\": ");
+            let at = json[from..].find(&key).expect(field) + from;
+            from = at + key.len();
+            assert_eq!(json.matches(&key).count(), 1, "{field}");
+        }
+        assert_eq!(json.lines().count(), FIELDS.len() + 2);
+    }
+
+    #[test]
+    fn compact_layout_is_one_line_and_parses_back() {
+        let plan = FaultPlan {
+            seed: 9,
+            sensor_noise_sigma_celsius: 0.5,
+            power_spike_rate: 0.25,
+            power_spike_watts: 3.0,
+            power_spike_intervals: 4,
+            ..FaultPlan::default()
+        };
+        let mut line = String::new();
+        plan.write_json(&mut line, true);
+        assert!(!line.contains('\n'), "{line}");
+        assert!(line.starts_with(r#"{"seed": 9,"sensor_noise_sigma_celsius": 0.5,"#));
+        assert_eq!(FaultPlan::from_json_str(&line), Ok(plan));
     }
 }

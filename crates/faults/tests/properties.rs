@@ -113,10 +113,21 @@ proptest! {
         }
     }
 
-    /// JSON round-trips preserve every field of an arbitrary plan.
+    /// JSON round-trips preserve every field of an arbitrary plan, and
+    /// encode → decode → encode reproduces the bytes in both layouts.
     #[test]
-    fn json_roundtrip_preserves_plan(plan in plans()) {
-        let back = FaultPlan::from_json_str(&plan.to_json_string());
+    fn json_roundtrip_preserves_plan(plan in plans(), force_active in 0u8..2) {
+        let plan = FaultPlan { force_active: force_active == 1, ..plan };
+        let text = plan.to_json_string();
+        let back = FaultPlan::from_json_str(&text);
         prop_assert_eq!(back, Ok(plan));
+        prop_assert_eq!(back.map(|p| p.to_json_string()), Ok(text));
+        let mut compact = String::new();
+        plan.write_json(&mut compact, true);
+        let mut again = String::new();
+        if let Ok(p) = FaultPlan::from_json_str(&compact) {
+            p.write_json(&mut again, true);
+        }
+        prop_assert_eq!(again, compact);
     }
 }

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::grid::{CoreId, GridFloorplan};
 
 /// Tolerance when grouping floating-point AMD values into rings.
@@ -11,7 +9,7 @@ const AMD_EPS: f64 = 1e-9;
 
 /// Index of a ring inside a [`RingSet`], `0` being the innermost
 /// (lowest-AMD, best-performance) ring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RingIndex(pub usize);
 
 impl RingIndex {
@@ -32,7 +30,7 @@ impl fmt::Display for RingIndex {
 /// Cores within a ring are performance- and thermal-wise homogeneous
 /// (paper §V), so threads assigned to a ring may rotate freely among its
 /// slots. The stored order is a cyclic walk around the die centre.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AmdRing {
     amd: f64,
     cores: Vec<CoreId>,
@@ -87,7 +85,7 @@ impl AmdRing {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RingSet {
     rings: Vec<AmdRing>,
     /// Ring index per core.

@@ -1,5 +1,4 @@
 use hp_power::{DvfsLadder, PowerModel};
-use serde::{Deserialize, Serialize};
 
 use crate::{ManycoreError, MigrationModel, Result};
 
@@ -24,7 +23,7 @@ use crate::{ManycoreError, MigrationModel, Result};
 /// assert_eq!(cfg.core_count(), 16);
 /// assert!(cfg.validate().is_ok());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArchConfig {
     /// Grid width in cores.
     pub grid_width: usize,

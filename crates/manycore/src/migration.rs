@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{ManycoreError, Result};
 
 /// Cost model for a thread migration on an S-NUCA many-core.
@@ -32,7 +30,7 @@ use crate::{ManycoreError, Result};
 /// // Penalty fraction for a 0.5 ms epoch: stall + part of the warmup.
 /// assert!(m.flush_seconds() < 0.5e-3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationModel {
     /// Stall while flushing private caches and moving the context, µs.
     pub flush_us: f64,

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 /// An interval workload description: what a thread *is doing* during a
 /// simulation interval, independent of where it runs.
 ///
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// let cool = WorkPoint::memory_bound();
 /// assert!(hot.l1_mpki < cool.l1_mpki);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkPoint {
     /// Cycles per instruction with a perfect memory hierarchy.
     pub cpi_base: f64,
@@ -99,7 +97,7 @@ impl WorkPoint {
 /// Produced by [`Machine::cpi_stack`](crate::Machine::cpi_stack); exposes
 /// the intermediate quantities (per C-INTERMEDIATE) so schedulers can sort
 /// threads by CPI, as HotPotato's Algorithm 2 requires.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpiStack {
     /// Base (execution) component.
     pub base: f64,

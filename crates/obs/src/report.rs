@@ -1,5 +1,5 @@
 //! The structured run report: an immutable, serialisable snapshot of
-//! everything a run recorded, plus the hand-rolled JSON (de)serialiser.
+//! everything a run recorded, and its `hp-report-v1` JSON form.
 //!
 //! The document schema (`hp-report-v1`):
 //!
@@ -19,22 +19,17 @@
 //!
 //! Counters and gauges are seed-deterministic; histogram blocks hold
 //! wall-clock timings and are expected to differ between runs
-//! (DESIGN.md §10). Entries are stored as sorted vectors rather than
-//! maps so the derived vendored-serde impls apply and ordering stays
-//! deterministic.
+//! (DESIGN.md §10). Entries are stored as name-sorted vectors rather
+//! than maps, so ordering stays deterministic.
 
-use std::fmt::Write as _;
-
-use serde::{Deserialize, Serialize};
-
-use crate::json::{self, Json};
+use crate::json::{self, Json, Layout, Obj};
 use crate::{ObsError, Result};
 
 /// Magic schema tag written to and required from every report document.
 pub const SCHEMA: &str = "hp-report-v1";
 
 /// A named monotonic counter value.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CounterEntry {
     /// Dotted counter name, e.g. `engine.intervals`.
     pub name: String,
@@ -43,7 +38,7 @@ pub struct CounterEntry {
 }
 
 /// A named point-in-time gauge value.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct GaugeEntry {
     /// Dotted gauge name, e.g. `metrics.peak_celsius`.
     pub name: String,
@@ -52,7 +47,7 @@ pub struct GaugeEntry {
 }
 
 /// Percentile summary of one duration histogram, in microseconds.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct HistogramSummary {
     /// Number of observations.
     pub count: u64,
@@ -67,7 +62,7 @@ pub struct HistogramSummary {
 }
 
 /// A named duration histogram summary.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct HistogramEntry {
     /// Dotted histogram name, e.g. `hook.schedule`.
     pub name: String,
@@ -76,7 +71,7 @@ pub struct HistogramEntry {
 }
 
 /// A named free-form metadata string.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetaEntry {
     /// Metadata key, e.g. `gemm_backend`.
     pub name: String,
@@ -85,7 +80,7 @@ pub struct MetaEntry {
 }
 
 /// One timestamped run event (degradations, DTM trips, aborts).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ReportEvent {
     /// Simulated time of the event, seconds.
     pub time_seconds: f64,
@@ -100,7 +95,7 @@ pub struct ReportEvent {
 /// Produced by [`Registry::snapshot`](crate::Registry::snapshot),
 /// merged across layers via [`merge_prefixed`](RunReport::merge_prefixed),
 /// embedded in `hp_sim::Metrics`, and written by `hp simulate --report`.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunReport {
     /// Seed-deterministic counters, sorted by name.
     pub counters: Vec<CounterEntry>,
@@ -277,201 +272,126 @@ impl RunReport {
     /// Serialises to the `hp-report-v1` JSON document.
     pub fn to_json_string(&self) -> String {
         let mut out = String::with_capacity(1024);
-        out.push_str("{\n");
-        let _ = write!(out, "  \"schema\": \"{SCHEMA}\",\n  \"meta\": {{");
-        for (i, m) in self.meta.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    \"{}\": \"{}\"",
-                json::escape(&m.name),
-                json::escape(&m.value)
-            );
-        }
-        out.push_str(if self.meta.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
-        });
-        out.push_str("  \"counters\": {");
-        for (i, c) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n    \"{}\": {}", json::escape(&c.name), c.value);
-        }
-        out.push_str(if self.counters.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
-        });
-        out.push_str("  \"gauges\": {");
-        for (i, g) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    \"{}\": {}",
-                json::escape(&g.name),
-                fmt_f64(g.value)
-            );
-        }
-        out.push_str(if self.gauges.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
-        });
-        out.push_str("  \"histograms\": {");
-        for (i, h) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let s = &h.summary;
-            let _ = write!(
-                out,
-                "\n    \"{}\": {{\"count\": {}, \"mean_us\": {}, \"p50_us\": {}, \"p95_us\": {}, \"max_us\": {}}}",
-                json::escape(&h.name),
-                s.count,
-                fmt_f64(s.mean_us),
-                fmt_f64(s.p50_us),
-                fmt_f64(s.p95_us),
-                fmt_f64(s.max_us)
-            );
-        }
-        out.push_str(if self.histograms.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
-        });
-        out.push_str("  \"events\": [");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"time_seconds\": {}, \"kind\": \"{}\", \"detail\": \"{}\"}}",
-                fmt_f64(e.time_seconds),
-                json::escape(&e.kind),
-                json::escape(&e.detail)
-            );
-        }
-        out.push_str(if self.events.is_empty() {
-            "]\n"
-        } else {
-            "\n  ]\n"
-        });
-        out.push('}');
+        self.write_json(&mut out, false);
         out.push('\n');
         out
+    }
+
+    /// Writes the document into `out`: pretty-printed as by
+    /// [`to_json_string`](RunReport::to_json_string) (without its final
+    /// newline) or, with `compact`, on one line as embedded in a
+    /// campaign job.
+    pub fn write_json(&self, out: &mut String, compact: bool) {
+        let (top, section, record) = if compact {
+            (Layout::Compact, Layout::Compact, Layout::Compact)
+        } else {
+            (Layout::Pretty(0), Layout::Pretty(1), Layout::Line)
+        };
+        let mut doc = Obj::open(out, top);
+        doc.str("schema", SCHEMA);
+        let mut meta = Obj::open(doc.key("meta"), section);
+        for m in &self.meta {
+            meta.str(&m.name, &m.value);
+        }
+        meta.close();
+        let mut counters = Obj::open(doc.key("counters"), section);
+        for c in &self.counters {
+            counters.lit(&c.name, c.value);
+        }
+        counters.close();
+        let mut gauges = Obj::open(doc.key("gauges"), section);
+        for g in &self.gauges {
+            gauges.f64(&g.name, g.value);
+        }
+        gauges.close();
+        let mut histograms = Obj::open(doc.key("histograms"), section);
+        for h in &self.histograms {
+            let s = &h.summary;
+            let mut o = Obj::open(histograms.key(&h.name), record);
+            o.lit("count", s.count)
+                .f64("mean_us", s.mean_us)
+                .f64("p50_us", s.p50_us)
+                .f64("p95_us", s.p95_us)
+                .f64("max_us", s.max_us);
+            o.close();
+        }
+        histograms.close();
+        json::push_list(doc.key("events"), section, &self.events, |out, e| {
+            let mut o = Obj::open(out, record);
+            o.f64("time_seconds", e.time_seconds)
+                .str("kind", &e.kind)
+                .str("detail", &e.detail);
+            o.close();
+        });
+        doc.close();
     }
 
     /// Deserialises an `hp-report-v1` JSON document.
     ///
     /// # Errors
     ///
-    /// Returns [`ObsError::Parse`] on malformed JSON, a missing or
-    /// unknown `schema` tag, or entries of the wrong shape.
+    /// Returns [`ObsError`] on malformed JSON, a missing or unknown
+    /// `schema` tag, or entries of the wrong shape.
     pub fn from_json_str(src: &str) -> Result<RunReport> {
-        let doc = json::parse(src)?;
-        let schema = doc
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ObsError::Parse {
-                message: "missing `schema` tag".to_string(),
-            })?;
+        Self::from_json(&json::parse(src)?)
+    }
+
+    /// Decodes an already-parsed `hp-report-v1` document, e.g. one
+    /// embedded in a campaign report.
+    ///
+    /// # Errors
+    ///
+    /// As [`from_json_str`](RunReport::from_json_str), minus syntax.
+    pub fn from_json(doc: &Json) -> Result<RunReport> {
+        let doc = doc.cursor("report");
+        let schema = doc.field("schema")?.str()?;
         if schema != SCHEMA {
             return Err(ObsError::Parse {
                 message: format!("unknown schema `{schema}` (expected `{SCHEMA}`)"),
             });
         }
         let mut report = RunReport::new();
-        if let Some(Json::Obj(members)) = doc.get("meta") {
-            for (name, value) in members {
-                let value = value.as_str().ok_or_else(|| bad(name, "a string"))?;
-                report.push_meta(name, value);
-            }
+        if let Some(meta) = doc.opt("meta") {
+            meta.entries(|name, v| {
+                report.push_meta(name, v.str()?);
+                Ok(())
+            })?;
         }
-        if let Some(Json::Obj(members)) = doc.get("counters") {
-            for (name, value) in members {
-                let value = value.as_u64().ok_or_else(|| bad(name, "a u64"))?;
-                report.push_counter(name, value);
-            }
+        if let Some(counters) = doc.opt("counters") {
+            counters.entries(|name, v| {
+                report.push_counter(name, v.u64()?);
+                Ok(())
+            })?;
         }
-        if let Some(Json::Obj(members)) = doc.get("gauges") {
-            for (name, value) in members {
-                let value = match value {
-                    Json::Null => f64::NAN,
-                    other => other.as_f64().ok_or_else(|| bad(name, "a number"))?,
-                };
-                report.push_gauge(name, value);
-            }
+        if let Some(gauges) = doc.opt("gauges") {
+            gauges.entries(|name, v| {
+                report.push_gauge(name, v.f64()?);
+                Ok(())
+            })?;
         }
-        if let Some(Json::Obj(members)) = doc.get("histograms") {
-            for (name, value) in members {
+        if let Some(histograms) = doc.opt("histograms") {
+            histograms.entries(|name, v| {
                 let summary = HistogramSummary {
-                    count: field_u64(value, name, "count")?,
-                    mean_us: field_f64(value, name, "mean_us")?,
-                    p50_us: field_f64(value, name, "p50_us")?,
-                    p95_us: field_f64(value, name, "p95_us")?,
-                    max_us: field_f64(value, name, "max_us")?,
+                    count: v.field("count")?.u64()?,
+                    mean_us: v.field("mean_us")?.f64()?,
+                    p50_us: v.field("p50_us")?.f64()?,
+                    p95_us: v.field("p95_us")?.f64()?,
+                    max_us: v.field("max_us")?.f64()?,
                 };
                 report.push_histogram(name, summary);
-            }
+                Ok(())
+            })?;
         }
-        if let Some(Json::Arr(items)) = doc.get("events") {
-            for item in items {
-                report.events.push(ReportEvent {
-                    time_seconds: field_f64(item, "event", "time_seconds")?,
-                    kind: item
-                        .get("kind")
-                        .and_then(Json::as_str)
-                        .unwrap_or_default()
-                        .to_string(),
-                    detail: item
-                        .get("detail")
-                        .and_then(Json::as_str)
-                        .unwrap_or_default()
-                        .to_string(),
-                });
-            }
+        if let Some(events) = doc.opt("events") {
+            report.events = events.list(|e| {
+                Ok(ReportEvent {
+                    time_seconds: e.field("time_seconds")?.f64()?,
+                    kind: e.field("kind")?.str()?.to_string(),
+                    detail: e.field("detail")?.str()?.to_string(),
+                })
+            })?;
         }
         Ok(report)
-    }
-}
-
-/// Formats a float for JSON output: non-finite values become `null`
-/// (JSON has no NaN/Inf literals).
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn bad(name: &str, expected: &str) -> ObsError {
-    ObsError::Parse {
-        message: format!("entry `{name}` is not {expected}"),
-    }
-}
-
-fn field_u64(obj: &Json, name: &str, field: &str) -> Result<u64> {
-    obj.get(field)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| bad(&format!("{name}.{field}"), "a u64"))
-}
-
-fn field_f64(obj: &Json, name: &str, field: &str) -> Result<f64> {
-    match obj.get(field) {
-        Some(Json::Null) => Ok(f64::NAN),
-        Some(v) => v
-            .as_f64()
-            .ok_or_else(|| bad(&format!("{name}.{field}"), "a number")),
-        None => Err(bad(&format!("{name}.{field}"), "present")),
     }
 }
 
@@ -593,5 +513,49 @@ mod tests {
         let a = sample().to_json_string();
         let b = sample().to_json_string();
         assert_eq!(a, b);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// encode → decode → encode is byte-identical in both layouts,
+        /// for arbitrary names and arbitrary floats (non-finite values
+        /// travel as `null` and come back as NaN).
+        #[test]
+        fn encode_decode_encode_is_byte_identical(
+            f in proptest::collection::vec(proptest::num::f64::ANY, 6),
+            n in proptest::collection::vec(0u64..u64::MAX, 2),
+            codes in proptest::collection::vec(0u32..0x1_0000, 0..10),
+        ) {
+            let name: String = codes.iter().filter_map(|&c| char::from_u32(c)).collect();
+            let mut r = RunReport::new();
+            r.push_counter(&name, n[0]);
+            r.push_counter("z", n[1]);
+            r.push_gauge(&name, f[0]);
+            r.push_histogram(
+                &name,
+                HistogramSummary {
+                    count: n[1],
+                    mean_us: f[1],
+                    p50_us: f[2],
+                    p95_us: f[3],
+                    max_us: f[4],
+                },
+            );
+            r.push_meta(&name, &name);
+            r.push_event(f[5], &name, &name);
+            let text = r.to_json_string();
+            let again = RunReport::from_json_str(&text).map(|b| b.to_json_string());
+            proptest::prop_assert_eq!(again, Ok(text));
+            let mut compact = String::new();
+            r.write_json(&mut compact, true);
+            let mut again = String::new();
+            let back = json::parse(&compact).and_then(|doc| RunReport::from_json(&doc));
+            if let Ok(b) = &back {
+                b.write_json(&mut again, true);
+            }
+            proptest::prop_assert!(back.is_ok(), "{back:?}");
+            proptest::prop_assert_eq!(again, compact);
+        }
     }
 }

@@ -9,6 +9,7 @@
 //! engine remains the final backstop below this chain.
 
 use hotpotato::{HotPotato, HotPotatoConfig};
+use hp_obs::json::{self, Layout, Obj};
 use hp_sim::{Action, Scheduler, SchedulerHealth, SimView};
 use hp_thermal::RcThermalModel;
 
@@ -263,41 +264,36 @@ impl Scheduler for FallbackChain {
     // engine's spec hash.)
     fn snapshot(&self) -> Option<String> {
         let primary = self.primary.snapshot()?;
-        Some(format!(
-            "{{\"degraded\":{},\"hooks_on_fallback\":{},\"degradations\":{},\"recoveries\":{},\"primary\":\"{}\"}}",
-            self.degraded,
-            self.hooks_on_fallback,
-            self.degradations,
-            self.recoveries,
-            hp_obs::json::escape(&primary)
-        ))
+        let mut out = String::new();
+        let mut o = Obj::open(&mut out, Layout::Canonical);
+        o.lit("degraded", self.degraded)
+            .lit("hooks_on_fallback", self.hooks_on_fallback)
+            .lit("degradations", self.degradations)
+            .lit("recoveries", self.recoveries)
+            .str("primary", &primary);
+        o.close();
+        Some(out)
     }
 
     fn restore(&mut self, state: &str) -> std::result::Result<(), String> {
-        use hp_obs::json::Json;
-        let doc =
-            hp_obs::json::parse(state).map_err(|e| format!("fallback-chain snapshot: {e}"))?;
-        let field = |name: &str| {
-            doc.get(name)
-                .ok_or_else(|| format!("fallback-chain snapshot: missing `{name}`"))
+        let decode = || -> hp_obs::Result<_> {
+            let parsed = json::parse(state)?;
+            let doc = parsed.cursor("snapshot");
+            Ok((
+                doc.field("degraded")?.bool()?,
+                doc.field("hooks_on_fallback")?.u64()?,
+                doc.field("degradations")?.u64()?,
+                doc.field("recoveries")?.u64()?,
+                doc.field("primary")?.str()?.to_string(),
+            ))
         };
-        self.degraded = match field("degraded")? {
-            Json::Bool(b) => *b,
-            _ => return Err("fallback-chain snapshot: bad `degraded`".into()),
-        };
-        self.hooks_on_fallback = field("hooks_on_fallback")?
-            .as_u64()
-            .ok_or("fallback-chain snapshot: bad `hooks_on_fallback`")?;
-        self.degradations = field("degradations")?
-            .as_u64()
-            .ok_or("fallback-chain snapshot: bad `degradations`")?;
-        self.recoveries = field("recoveries")?
-            .as_u64()
-            .ok_or("fallback-chain snapshot: bad `recoveries`")?;
-        let primary = field("primary")?
-            .as_str()
-            .ok_or("fallback-chain snapshot: missing `primary`")?;
-        self.primary.restore(primary)
+        let (degraded, hooks_on_fallback, degradations, recoveries, primary) =
+            decode().map_err(|e| format!("fallback-chain snapshot: {e}"))?;
+        self.degraded = degraded;
+        self.hooks_on_fallback = hooks_on_fallback;
+        self.degradations = degradations;
+        self.recoveries = recoveries;
+        self.primary.restore(&primary)
     }
 }
 

@@ -13,6 +13,7 @@
 //! frequency returns to peak.
 
 use hotpotato::{HotPotato, HotPotatoConfig};
+use hp_obs::json::{self, push_lit, Layout, Obj};
 use hp_power::DvfsLevel;
 use hp_sim::{Action, Scheduler, SimView};
 use hp_thermal::RcThermalModel;
@@ -146,35 +147,32 @@ impl Scheduler for HotPotatoDvfs {
     // rotation scheduler's snapshot rides along as an escaped string.
     fn snapshot(&self) -> Option<String> {
         let inner = self.inner.snapshot()?;
-        let throttle = match self.throttle {
-            None => "null".to_string(),
-            Some(level) => level.index().to_string(),
-        };
-        Some(format!(
-            "{{\"throttle\":{throttle},\"inner\":\"{}\"}}",
-            hp_obs::json::escape(&inner)
-        ))
+        let mut out = String::new();
+        let mut o = Obj::open(&mut out, Layout::Canonical);
+        match self.throttle {
+            None => o.key("throttle").push_str("null"),
+            Some(level) => push_lit(o.key("throttle"), level.index()),
+        }
+        o.str("inner", &inner);
+        o.close();
+        Some(out)
     }
 
     fn restore(&mut self, state: &str) -> std::result::Result<(), String> {
-        use hp_obs::json::Json;
-        let doc =
-            hp_obs::json::parse(state).map_err(|e| format!("hotpotato-dvfs snapshot: {e}"))?;
-        self.throttle = match doc
-            .get("throttle")
-            .ok_or("hotpotato-dvfs snapshot: missing `throttle`")?
-        {
-            Json::Null => None,
-            v => Some(DvfsLevel(
-                v.as_u64()
-                    .ok_or("hotpotato-dvfs snapshot: bad `throttle`")? as usize,
-            )),
+        let decode = || -> hp_obs::Result<_> {
+            let parsed = json::parse(state)?;
+            let doc = parsed.cursor("snapshot");
+            let throttle = doc.field("throttle")?;
+            let throttle = if throttle.is_null() {
+                None
+            } else {
+                Some(DvfsLevel(throttle.usize()?))
+            };
+            Ok((throttle, doc.field("inner")?.str()?.to_string()))
         };
-        let inner = doc
-            .get("inner")
-            .and_then(Json::as_str)
-            .ok_or("hotpotato-dvfs snapshot: missing `inner`")?;
-        self.inner.restore(inner)
+        let (throttle, inner) = decode().map_err(|e| format!("hotpotato-dvfs snapshot: {e}"))?;
+        self.throttle = throttle;
+        self.inner.restore(&inner)
     }
 }
 

@@ -1,4 +1,5 @@
 use hp_floorplan::CoreId;
+use hp_sim::schedulers::{preferred_snapshot, restore_preferred};
 use hp_sim::{Action, Scheduler, SimView};
 use hp_thermal::RcThermalModel;
 
@@ -108,36 +109,12 @@ impl Scheduler for TspUniform {
     // The budget recomputation is stateless; the only mutable state is
     // the one-shot preferred placement, which `schedule` consumes.
     fn snapshot(&self) -> Option<String> {
-        let body = match &self.preferred {
-            None => "null".to_string(),
-            Some(cores) => {
-                let list: Vec<String> = cores.iter().map(|c| c.index().to_string()).collect();
-                format!("[{}]", list.join(","))
-            }
-        };
-        Some(format!("{{\"preferred\":{body}}}"))
+        Some(preferred_snapshot(self.preferred.as_deref()))
     }
 
     fn restore(&mut self, state: &str) -> std::result::Result<(), String> {
-        use hp_obs::json::Json;
-        let doc = hp_obs::json::parse(state).map_err(|e| format!("tsp-uniform snapshot: {e}"))?;
-        let preferred = doc
-            .get("preferred")
-            .ok_or("tsp-uniform snapshot: missing `preferred`")?;
-        self.preferred = match preferred {
-            Json::Null => None,
-            Json::Arr(items) => Some(
-                items
-                    .iter()
-                    .map(|v| {
-                        v.as_u64()
-                            .map(|i| CoreId(i as usize))
-                            .ok_or_else(|| "tsp-uniform snapshot: non-integer core".to_string())
-                    })
-                    .collect::<std::result::Result<Vec<_>, _>>()?,
-            ),
-            _ => return Err("tsp-uniform snapshot: `preferred` must be null or a list".into()),
-        };
+        self.preferred =
+            restore_preferred(state).map_err(|e| format!("tsp-uniform snapshot: {e}"))?;
         Ok(())
     }
 }

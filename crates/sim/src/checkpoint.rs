@@ -9,8 +9,8 @@
 //! checkpoint boundary resumes *bit-identical* to an uninterrupted one
 //! (same trace, same `RunReport::without_timings`).
 //!
-//! The document is hand-rolled JSON (the workspace carries no JSON
-//! backend; see `hp_obs::json`) wrapped in an integrity envelope:
+//! The document is JSON written and read with the workspace codec
+//! (`hp_obs::json`), wrapped in an integrity envelope:
 //!
 //! ```json
 //! {"schema": "hp-ckpt-v1",
@@ -29,16 +29,16 @@
 //! * Truncated or malformed documents are [`CheckpointError::Parse`];
 //!   an unknown schema string is [`CheckpointError::Version`].
 //!
-//! Non-finite floats (a fresh thread's `last_cpi` is ∞) are encoded as
-//! the strings `"inf"` / `"-inf"` / `"nan"`; finite floats use Rust's
-//! shortest round-trip `Display`, so decode→encode is bit-identical.
+//! Floats follow the codec's tagged rule (a fresh thread's `last_cpi`
+//! is ∞, written `"inf"`), so decode→encode is bit-identical.
 
 use std::fmt::Write as _;
 use std::path::Path;
 
 use hp_faults::{ConditionerSnapshot, InjectorSnapshot};
 use hp_manycore::Machine;
-use hp_obs::json::{escape, parse, Json};
+use hp_obs::fnv1a;
+use hp_obs::json::{self, push_float_tagged, push_list, push_lit, push_str, Cursor, Obj};
 use hp_workload::Job;
 
 use crate::job::ThreadId;
@@ -126,19 +126,16 @@ impl std::fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
+impl From<hp_obs::ObsError> for CheckpointError {
+    fn from(e: hp_obs::ObsError) -> Self {
+        CheckpointError::Parse {
+            message: e.to_string(),
+        }
+    }
+}
+
 /// Crate-local result alias for checkpoint operations.
 pub(crate) type CkptResult<T> = std::result::Result<T, CheckpointError>;
-
-/// 64-bit FNV-1a, the workspace's standing content-fingerprint choice
-/// (`hp-campaign` job digests use the same function).
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// Fingerprint of everything a checkpoint is only valid against: the
 /// machine geometry, the full engine configuration (including the fault
@@ -347,15 +344,9 @@ impl EngineCheckpoint {
     /// * [`CheckpointError::DigestMismatch`] — the state decodes but its
     ///   canonical re-encoding does not hash to the stored digest.
     pub fn from_json_str(src: &str) -> CkptResult<Self> {
-        let doc = parse(src).map_err(|e| CheckpointError::Parse {
-            message: e.to_string(),
-        })?;
-        let schema =
-            doc.get("schema")
-                .and_then(Json::as_str)
-                .ok_or_else(|| CheckpointError::Parse {
-                    message: "missing `schema` string".into(),
-                })?;
+        let parsed = json::parse(src)?;
+        let doc = parsed.cursor("checkpoint");
+        let schema = doc.field("schema")?.str()?;
         if schema != CHECKPOINT_SCHEMA {
             return Err(CheckpointError::Version {
                 found: schema.to_string(),
@@ -363,10 +354,7 @@ impl EngineCheckpoint {
         }
         let spec_hash = hex_field(&doc, "spec_hash")?;
         let digest = hex_field(&doc, "digest")?;
-        let state_json = doc.get("state").ok_or_else(|| CheckpointError::Parse {
-            message: "missing `state` object".into(),
-        })?;
-        let state = decode_state(state_json)?;
+        let state = decode_state(&doc.field("state")?)?;
         let found = fnv1a(encode_state(&state).as_bytes());
         if found != digest {
             return Err(CheckpointError::DigestMismatch {
@@ -410,741 +398,418 @@ impl EngineCheckpoint {
     }
 }
 
-fn hex_field(doc: &Json, key: &str) -> CkptResult<u64> {
-    let raw = doc
-        .get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| CheckpointError::Parse {
-            message: format!("missing `{key}` hex string"),
-        })?;
-    u64::from_str_radix(raw, 16).map_err(|_| CheckpointError::Parse {
-        message: format!("`{key}` is not a 64-bit hex value: `{raw}`"),
-    })
+fn hex_field(doc: &Cursor<'_>, key: &str) -> CkptResult<u64> {
+    let field = doc.field(key)?;
+    let raw = field.str()?;
+    u64::from_str_radix(raw, 16).map_err(|_| field.error("a 64-bit hex string").into())
 }
 
 // ---------------------------------------------------------------------
 // Canonical encoding. The digest is computed over exactly this output,
-// so every choice here (member order, float formatting, no whitespace
-// inside the state block) is part of the format contract.
+// so every choice here (member order, float rule, the whitespace-free
+// canonical layout) is part of the format contract.
 // ---------------------------------------------------------------------
 
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else if v.is_nan() {
-        out.push_str("\"nan\"");
-    } else if v > 0.0 {
-        out.push_str("\"inf\"");
-    } else {
-        out.push_str("\"-inf\"");
-    }
+const C: json::Layout = json::Layout::Canonical;
+
+fn lits<T: std::fmt::Display>(out: &mut String, items: &[T]) {
+    push_list(out, C, items, push_lit);
 }
 
-fn push_f64_arr(out: &mut String, vs: &[f64]) {
-    out.push('[');
-    for (i, &v) in vs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_f64(out, v);
-    }
-    out.push(']');
+fn floats(out: &mut String, items: &[f64]) {
+    push_list(out, C, items.iter().copied(), push_float_tagged);
 }
 
-fn push_u64_arr(out: &mut String, vs: &[u64]) {
-    out.push('[');
-    for (i, &v) in vs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{v}");
-    }
-    out.push(']');
-}
-
-fn push_usize_arr(out: &mut String, vs: &[usize]) {
-    out.push('[');
-    for (i, &v) in vs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{v}");
-    }
-    out.push(']');
-}
-
-fn push_bool_arr(out: &mut String, vs: &[bool]) {
-    out.push('[');
-    for (i, &v) in vs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(if v { "true" } else { "false" });
-    }
-    out.push(']');
-}
-
-fn push_opt_f64(out: &mut String, v: Option<f64>) {
+fn opt_float(out: &mut String, v: Option<f64>) {
     match v {
         None => out.push_str("null"),
-        Some(v) => push_f64(out, v),
+        Some(v) => push_float_tagged(out, v),
     }
 }
 
 fn encode_state(s: &CheckpointState) -> String {
-    let mut o = String::with_capacity(4096);
-    o.push('{');
-    let _ = write!(o, "\"step\":{}", s.step);
-    o.push_str(",\"node_temps\":");
-    push_f64_arr(&mut o, &s.node_temps);
-    o.push_str(",\"levels\":");
-    push_usize_arr(&mut o, &s.levels);
-    o.push_str(",\"occupancy\":[");
-    for (i, slot) in s.occupancy.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        match slot {
-            None => o.push_str("null"),
-            Some(t) => {
-                let _ = write!(o, "[{},{}]", t.job.0, t.index);
-            }
-        }
-    }
-    o.push(']');
-    o.push_str(",\"pending\":");
-    push_usize_arr(&mut o, &s.pending);
-    o.push_str(",\"arrivals\":");
-    push_usize_arr(&mut o, &s.arrivals);
-    o.push_str(",\"active\":[");
-    for (i, a) in s.active.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        let _ = write!(
-            o,
-            "{{\"job\":{},\"phase\":{},\"completed\":",
-            a.job, a.phase
-        );
-        push_opt_f64(&mut o, a.completed);
-        o.push_str(",\"threads\":[");
-        for (k, t) in a.threads.iter().enumerate() {
-            if k > 0 {
-                o.push(',');
-            }
-            let _ = write!(o, "{{\"core\":{},\"running\":", t.core);
-            match t.running {
-                None => o.push_str("null"),
-                Some(r) => {
-                    let _ = write!(o, "{r}");
-                }
-            }
-            o.push_str(",\"stall_until\":");
-            push_f64(&mut o, t.stall_until);
-            o.push_str(",\"warmup_until\":");
-            push_f64(&mut o, t.warmup_until);
-            let (samples, window, total_time, total_energy) = &t.history;
-            o.push_str(",\"history\":{\"window\":");
-            push_f64(&mut o, *window);
-            o.push_str(",\"total_time\":");
-            push_f64(&mut o, *total_time);
-            o.push_str(",\"total_energy\":");
-            push_f64(&mut o, *total_energy);
-            o.push_str(",\"samples\":[");
-            for (m, &(d, w)) in samples.iter().enumerate() {
-                if m > 0 {
-                    o.push(',');
-                }
-                o.push('[');
-                push_f64(&mut o, d);
-                o.push(',');
-                push_f64(&mut o, w);
-                o.push(']');
-            }
-            o.push_str("]}");
-            o.push_str(",\"last_cpi\":");
-            push_f64(&mut o, t.last_cpi);
-            let _ = write!(
-                o,
-                ",\"migrations\":{},\"instructions_retired\":{},\"energy\":",
-                t.migrations, t.instructions_retired
-            );
-            push_f64(&mut o, t.energy);
-            o.push('}');
-        }
-        o.push_str("]}");
-    }
-    o.push(']');
-    o.push_str(",\"records\":[");
-    for (i, r) in s.records.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        let _ = write!(
-            o,
-            "{{\"job\":{},\"benchmark\":\"{}\",\"threads\":{},\"arrival\":",
-            r.job.0,
-            escape(&r.benchmark),
-            r.threads
-        );
-        push_f64(&mut o, r.arrival);
-        o.push_str(",\"started\":");
-        push_f64(&mut o, r.started);
-        o.push_str(",\"completed\":");
-        push_opt_f64(&mut o, r.completed);
-        let _ = write!(
-            o,
-            ",\"instructions\":{},\"migrations\":{},\"energy\":",
-            r.instructions, r.migrations
-        );
-        push_f64(&mut o, r.energy);
-        o.push('}');
-    }
-    o.push(']');
-    let _ = write!(
-        o,
-        ",\"completed\":{},\"dtm_last_interval\":{}",
-        s.completed, s.dtm_last_interval
+    let mut out = String::with_capacity(4096);
+    let mut o = Obj::open(&mut out, C);
+    o.lit("step", s.step);
+    floats(o.key("node_temps"), &s.node_temps);
+    lits(o.key("levels"), &s.levels);
+    push_list(
+        o.key("occupancy"),
+        C,
+        &s.occupancy,
+        |out, slot| match slot {
+            None => out.push_str("null"),
+            Some(t) => lits(out, &[t.job.0, t.index]),
+        },
     );
-    o.push_str(",\"dtm_core_latch\":");
-    push_bool_arr(&mut o, &s.dtm_core_latch);
-    o.push_str(",\"busy_freq_integral\":");
-    push_f64(&mut o, s.busy_freq_integral);
-    o.push_str(",\"busy_time\":");
-    push_f64(&mut o, s.busy_time);
-    let _ = write!(o, ",\"sched_was_degraded\":{}", s.sched_was_degraded);
-    o.push_str(",\"metrics\":{\"makespan\":");
-    push_f64(&mut o, s.metrics.makespan);
-    o.push_str(",\"peak_temperature\":");
-    push_f64(&mut o, s.metrics.peak_temperature);
-    let _ = write!(
-        o,
-        ",\"dtm_intervals\":{},\"migrations\":{},\"energy\":",
-        s.metrics.dtm_intervals, s.metrics.migrations
-    );
-    push_f64(&mut o, s.metrics.energy);
-    o.push_str(",\"simulated_time\":");
-    push_f64(&mut o, s.metrics.simulated_time);
-    o.push('}');
+    lits(o.key("pending"), &s.pending);
+    lits(o.key("arrivals"), &s.arrivals);
+    push_list(o.key("active"), C, &s.active, encode_active_job);
+    push_list(o.key("records"), C, &s.records, |out, r| {
+        let mut o = Obj::open(out, C);
+        o.lit("job", r.job.0)
+            .str("benchmark", &r.benchmark)
+            .lit("threads", r.threads)
+            .f64_tagged("arrival", r.arrival)
+            .f64_tagged("started", r.started);
+        opt_float(o.key("completed"), r.completed);
+        o.lit("instructions", r.instructions)
+            .lit("migrations", r.migrations)
+            .f64_tagged("energy", r.energy);
+        o.close();
+    });
+    o.lit("completed", s.completed)
+        .lit("dtm_last_interval", s.dtm_last_interval);
+    lits(o.key("dtm_core_latch"), &s.dtm_core_latch);
+    o.f64_tagged("busy_freq_integral", s.busy_freq_integral)
+        .f64_tagged("busy_time", s.busy_time)
+        .lit("sched_was_degraded", s.sched_was_degraded);
+    let m = &s.metrics;
+    let mut mo = Obj::open(o.key("metrics"), C);
+    mo.f64_tagged("makespan", m.makespan)
+        .f64_tagged("peak_temperature", m.peak_temperature)
+        .lit("dtm_intervals", m.dtm_intervals)
+        .lit("migrations", m.migrations)
+        .f64_tagged("energy", m.energy)
+        .f64_tagged("simulated_time", m.simulated_time);
+    mo.close();
     let r = &s.robustness;
-    let _ = write!(
-        o,
-        ",\"robustness\":{{\"faults_enabled\":{},\"noisy_readings\":{},\"stuck_readings\":{},\"sensor_dropouts\":{},\"migration_faults\":{},\"power_spikes\":{},\"dropped_actions\":{},\"min_sensor_confidence\":",
-        r.faults_enabled,
-        r.noisy_readings,
-        r.stuck_readings,
-        r.sensor_dropouts,
-        r.migration_faults,
-        r.power_spikes,
-        r.dropped_actions
-    );
-    push_f64(&mut o, r.min_sensor_confidence);
-    let _ = write!(
-        o,
-        ",\"fallback_intervals\":{},\"fallback_activations\":{},\"watchdog_intervals\":{},\"watchdog_activations\":{}}}",
-        r.fallback_intervals, r.fallback_activations, r.watchdog_intervals, r.watchdog_activations
-    );
-    o.push_str(",\"faults\":");
+    let mut ro = Obj::open(o.key("robustness"), C);
+    ro.lit("faults_enabled", r.faults_enabled)
+        .lit("noisy_readings", r.noisy_readings)
+        .lit("stuck_readings", r.stuck_readings)
+        .lit("sensor_dropouts", r.sensor_dropouts)
+        .lit("migration_faults", r.migration_faults)
+        .lit("power_spikes", r.power_spikes)
+        .lit("dropped_actions", r.dropped_actions)
+        .f64_tagged("min_sensor_confidence", r.min_sensor_confidence)
+        .lit("fallback_intervals", r.fallback_intervals)
+        .lit("fallback_activations", r.fallback_activations)
+        .lit("watchdog_intervals", r.watchdog_intervals)
+        .lit("watchdog_activations", r.watchdog_activations);
+    ro.close();
     match &s.faults {
-        None => o.push_str("null"),
-        Some(fz) => {
-            let inj = &fz.injector;
-            o.push_str("{\"injector\":{\"rng_state\":");
-            push_u64_arr(&mut o, &inj.rng_state);
-            o.push_str(",\"stuck_until\":");
-            push_u64_arr(&mut o, &inj.stuck_until);
-            o.push_str(",\"stuck_value_celsius\":");
-            push_f64_arr(&mut o, &inj.stuck_value_celsius);
-            let _ = write!(
-                o,
-                ",\"blackout_until\":{},\"spike_core\":{},\"spike_until\":{},\"interval\":{}",
-                inj.blackout_until, inj.spike_core, inj.spike_until, inj.interval
-            );
-            let st = &inj.stats;
-            let _ = write!(
-                o,
-                ",\"stats\":{{\"noisy_readings\":{},\"stuck_episodes\":{},\"stuck_readings\":{},\"dropouts\":{},\"migration_failures\":{},\"migration_blackouts\":{},\"power_spikes\":{}}}}}",
-                st.noisy_readings,
-                st.stuck_episodes,
-                st.stuck_readings,
-                st.dropouts,
-                st.migration_failures,
-                st.migration_blackouts,
-                st.power_spikes
-            );
-            let c = &fz.conditioner;
-            o.push_str(",\"conditioner\":{\"last_good_celsius\":");
-            push_f64_arr(&mut o, &c.last_good_celsius);
-            o.push_str(",\"staleness\":");
-            push_u64_arr(&mut o, &c.staleness);
-            o.push_str(",\"seen\":");
-            push_bool_arr(&mut o, &c.seen);
-            o.push('}');
-            o.push_str(",\"sensed_temps\":");
-            push_f64_arr(&mut o, &fz.sensed_temps);
-            o.push_str(",\"confidence\":");
-            push_f64_arr(&mut o, &fz.confidence);
-            let _ = write!(o, ",\"sensors_degraded\":{}}}", fz.sensors_degraded);
-        }
+        None => o.key("faults").push_str("null"),
+        Some(f) => encode_faults(o.key("faults"), f),
     }
-    o.push_str(",\"obs\":{\"counters\":[");
-    for (i, (name, v)) in s.obs.counters.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        let _ = write!(o, "[\"{}\",{v}]", escape(name));
-    }
-    o.push_str("],\"gauges\":[");
-    for (i, (name, v)) in s.obs.gauges.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        let _ = write!(o, "[\"{}\",", escape(name));
-        push_f64(&mut o, *v);
-        o.push(']');
-    }
-    o.push_str("],\"meta\":[");
-    for (i, (name, v)) in s.obs.meta.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        let _ = write!(o, "[\"{}\",\"{}\"]", escape(name), escape(v));
-    }
-    o.push_str("]}");
-    o.push_str(",\"trace\":{\"times\":");
-    push_f64_arr(&mut o, &s.trace.times);
-    o.push_str(",\"temps\":[");
-    for (i, row) in s.trace.temps.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        push_f64_arr(&mut o, row);
-    }
-    o.push_str("],\"events\":[");
-    for (i, ev) in s.trace.events.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        o.push('[');
-        push_f64(&mut o, ev.time_seconds);
-        let _ = write!(o, ",\"{}\",\"{}\"]", ev.kind.label(), escape(&ev.detail));
-    }
-    o.push_str("]}");
-    o.push_str(",\"thermal_stats\":");
-    push_u64_arr(&mut o, &s.thermal_stats);
-    o.push_str(",\"numerics_stats\":");
-    push_u64_arr(&mut o, &s.numerics_stats);
-    let _ = write!(
-        o,
-        ",\"scheduler\":{{\"name\":\"{}\"",
-        escape(&s.scheduler_name)
-    );
-    o.push_str(",\"blob\":");
+    let mut ob = Obj::open(o.key("obs"), C);
+    push_list(ob.key("counters"), C, &s.obs.counters, |out, (name, v)| {
+        out.push('[');
+        push_str(out, name);
+        let _ = write!(out, ",{v}]");
+    });
+    push_list(ob.key("gauges"), C, &s.obs.gauges, |out, (name, v)| {
+        out.push('[');
+        push_str(out, name);
+        out.push(',');
+        push_float_tagged(out, *v);
+        out.push(']');
+    });
+    push_list(ob.key("meta"), C, &s.obs.meta, |out, (name, v)| {
+        out.push('[');
+        push_str(out, name);
+        out.push(',');
+        push_str(out, v);
+        out.push(']');
+    });
+    ob.close();
+    let mut tr = Obj::open(o.key("trace"), C);
+    floats(tr.key("times"), &s.trace.times);
+    push_list(tr.key("temps"), C, &s.trace.temps, |out, row| {
+        floats(out, row);
+    });
+    push_list(tr.key("events"), C, &s.trace.events, |out, ev| {
+        out.push('[');
+        push_float_tagged(out, ev.time_seconds);
+        out.push(',');
+        push_str(out, ev.kind.label());
+        out.push(',');
+        push_str(out, &ev.detail);
+        out.push(']');
+    });
+    tr.close();
+    lits(o.key("thermal_stats"), &s.thermal_stats);
+    lits(o.key("numerics_stats"), &s.numerics_stats);
+    let mut sc = Obj::open(o.key("scheduler"), C);
+    sc.str("name", &s.scheduler_name);
     match &s.scheduler_blob {
-        None => o.push_str("null"),
-        Some(b) => {
-            let _ = write!(o, "\"{}\"", escape(b));
-        }
+        None => sc.key("blob").push_str("null"),
+        Some(b) => push_str(sc.key("blob"), b),
     }
-    o.push_str("}}");
-    o
+    sc.close();
+    o.close();
+    out
+}
+
+fn encode_active_job(out: &mut String, a: &ActiveJobState) {
+    let mut o = Obj::open(out, C);
+    o.lit("job", a.job).lit("phase", a.phase);
+    opt_float(o.key("completed"), a.completed);
+    push_list(o.key("threads"), C, &a.threads, |out, t| {
+        let mut o = Obj::open(out, C);
+        o.lit("core", t.core);
+        match t.running {
+            None => o.key("running").push_str("null"),
+            Some(r) => push_lit(o.key("running"), r),
+        }
+        o.f64_tagged("stall_until", t.stall_until)
+            .f64_tagged("warmup_until", t.warmup_until);
+        let (samples, window, total_time, total_energy) = &t.history;
+        let mut h = Obj::open(o.key("history"), C);
+        h.f64_tagged("window", *window)
+            .f64_tagged("total_time", *total_time)
+            .f64_tagged("total_energy", *total_energy);
+        push_list(h.key("samples"), C, samples, |out, &(d, w)| {
+            floats(out, &[d, w]);
+        });
+        h.close();
+        o.f64_tagged("last_cpi", t.last_cpi)
+            .lit("migrations", t.migrations)
+            .lit("instructions_retired", t.instructions_retired)
+            .f64_tagged("energy", t.energy);
+        o.close();
+    });
+    o.close();
+}
+
+fn encode_faults(out: &mut String, f: &FaultState) {
+    let mut o = Obj::open(out, C);
+    let inj = &f.injector;
+    let mut io = Obj::open(o.key("injector"), C);
+    lits(io.key("rng_state"), &inj.rng_state);
+    lits(io.key("stuck_until"), &inj.stuck_until);
+    floats(io.key("stuck_value_celsius"), &inj.stuck_value_celsius);
+    io.lit("blackout_until", inj.blackout_until)
+        .lit("spike_core", inj.spike_core)
+        .lit("spike_until", inj.spike_until)
+        .lit("interval", inj.interval);
+    let st = &inj.stats;
+    let mut so = Obj::open(io.key("stats"), C);
+    so.lit("noisy_readings", st.noisy_readings)
+        .lit("stuck_episodes", st.stuck_episodes)
+        .lit("stuck_readings", st.stuck_readings)
+        .lit("dropouts", st.dropouts)
+        .lit("migration_failures", st.migration_failures)
+        .lit("migration_blackouts", st.migration_blackouts)
+        .lit("power_spikes", st.power_spikes);
+    so.close();
+    io.close();
+    let c = &f.conditioner;
+    let mut co = Obj::open(o.key("conditioner"), C);
+    floats(co.key("last_good_celsius"), &c.last_good_celsius);
+    lits(co.key("staleness"), &c.staleness);
+    lits(co.key("seen"), &c.seen);
+    co.close();
+    floats(o.key("sensed_temps"), &f.sensed_temps);
+    floats(o.key("confidence"), &f.confidence);
+    o.lit("sensors_degraded", f.sensors_degraded);
+    o.close();
 }
 
 // ---------------------------------------------------------------------
 // Decoding. Every shape failure is CheckpointError::Parse naming the
-// field, so a hand-edited or truncated document fails loudly.
+// field's path, so a hand-edited or truncated document fails loudly.
 // ---------------------------------------------------------------------
 
-fn shape(what: &str, wanted: &str) -> CheckpointError {
-    CheckpointError::Parse {
-        message: format!("state field `{what}` is not {wanted}"),
+fn opt_tagged(c: &Cursor<'_>) -> hp_obs::Result<Option<f64>> {
+    if c.is_null() {
+        Ok(None)
+    } else {
+        c.f64_tagged().map(Some)
     }
 }
 
-fn field<'a>(obj: &'a Json, key: &str) -> CkptResult<&'a Json> {
-    obj.get(key).ok_or_else(|| CheckpointError::Parse {
-        message: format!("state field `{key}` is missing"),
-    })
-}
-
-fn dec_u64(v: &Json, what: &str) -> CkptResult<u64> {
-    v.as_u64().ok_or_else(|| shape(what, "an unsigned integer"))
-}
-
-fn dec_usize(v: &Json, what: &str) -> CkptResult<usize> {
-    match v {
-        Json::Num(raw) => raw
-            .parse::<usize>()
-            .map_err(|_| shape(what, "an unsigned integer")),
-        _ => Err(shape(what, "an unsigned integer")),
-    }
-}
-
-fn dec_bool(v: &Json, what: &str) -> CkptResult<bool> {
-    match v {
-        Json::Bool(b) => Ok(*b),
-        _ => Err(shape(what, "a boolean")),
-    }
-}
-
-fn dec_str(v: &Json, what: &str) -> CkptResult<String> {
-    v.as_str()
-        .map(str::to_string)
-        .ok_or_else(|| shape(what, "a string"))
-}
-
-fn dec_f64(v: &Json, what: &str) -> CkptResult<f64> {
-    match v {
-        Json::Num(_) => v.as_f64().ok_or_else(|| shape(what, "a number")),
-        Json::Str(s) => match s.as_str() {
-            "inf" => Ok(f64::INFINITY),
-            "-inf" => Ok(f64::NEG_INFINITY),
-            "nan" => Ok(f64::NAN),
-            _ => Err(shape(what, "a number or \"inf\"/\"-inf\"/\"nan\"")),
-        },
-        _ => Err(shape(what, "a number")),
-    }
-}
-
-fn arr<'a>(v: &'a Json, what: &str) -> CkptResult<&'a [Json]> {
-    match v {
-        Json::Arr(items) => Ok(items),
-        _ => Err(shape(what, "an array")),
-    }
-}
-
-fn dec_f64_vec(v: &Json, what: &str) -> CkptResult<Vec<f64>> {
-    arr(v, what)?.iter().map(|x| dec_f64(x, what)).collect()
-}
-
-fn dec_u64_vec(v: &Json, what: &str) -> CkptResult<Vec<u64>> {
-    arr(v, what)?.iter().map(|x| dec_u64(x, what)).collect()
-}
-
-fn dec_usize_vec(v: &Json, what: &str) -> CkptResult<Vec<usize>> {
-    arr(v, what)?.iter().map(|x| dec_usize(x, what)).collect()
-}
-
-fn dec_bool_vec(v: &Json, what: &str) -> CkptResult<Vec<bool>> {
-    arr(v, what)?.iter().map(|x| dec_bool(x, what)).collect()
-}
-
-fn dec_opt_f64(v: &Json, what: &str) -> CkptResult<Option<f64>> {
-    match v {
-        Json::Null => Ok(None),
-        other => dec_f64(other, what).map(Some),
-    }
-}
-
-fn decode_state(v: &Json) -> CkptResult<CheckpointState> {
-    if !matches!(v, Json::Obj(_)) {
-        return Err(shape("state", "an object"));
-    }
-    let step = dec_u64(field(v, "step")?, "step")?;
-    let node_temps = dec_f64_vec(field(v, "node_temps")?, "node_temps")?;
-    let levels = dec_usize_vec(field(v, "levels")?, "levels")?;
-    let occupancy = arr(field(v, "occupancy")?, "occupancy")?
-        .iter()
-        .map(|slot| match slot {
-            Json::Null => Ok(None),
-            Json::Arr(pair) => match pair.as_slice() {
-                [j, i] => Ok(Some(ThreadId {
-                    job: hp_workload::JobId(dec_usize(j, "occupancy job")?),
-                    index: dec_usize(i, "occupancy index")?,
-                })),
-                _ => Err(shape("occupancy", "a [job, index] pair or null")),
-            },
-            _ => Err(shape("occupancy", "a [job, index] pair or null")),
-        })
-        .collect::<CkptResult<Vec<_>>>()?;
-    let pending = dec_usize_vec(field(v, "pending")?, "pending")?;
-    let arrivals = dec_usize_vec(field(v, "arrivals")?, "arrivals")?;
-    let active = arr(field(v, "active")?, "active")?
-        .iter()
-        .map(decode_active_job)
-        .collect::<CkptResult<Vec<_>>>()?;
-    let records = arr(field(v, "records")?, "records")?
-        .iter()
-        .map(decode_record)
-        .collect::<CkptResult<Vec<_>>>()?;
-    let completed = dec_u64(field(v, "completed")?, "completed")?;
-    let dtm_last_interval = dec_bool(field(v, "dtm_last_interval")?, "dtm_last_interval")?;
-    let dtm_core_latch = dec_bool_vec(field(v, "dtm_core_latch")?, "dtm_core_latch")?;
-    let busy_freq_integral = dec_f64(field(v, "busy_freq_integral")?, "busy_freq_integral")?;
-    let busy_time = dec_f64(field(v, "busy_time")?, "busy_time")?;
-    let sched_was_degraded = dec_bool(field(v, "sched_was_degraded")?, "sched_was_degraded")?;
-    let m = field(v, "metrics")?;
-    let metrics = MetricsState {
-        makespan: dec_f64(field(m, "makespan")?, "metrics.makespan")?,
-        peak_temperature: dec_f64(field(m, "peak_temperature")?, "metrics.peak_temperature")?,
-        dtm_intervals: dec_u64(field(m, "dtm_intervals")?, "metrics.dtm_intervals")?,
-        migrations: dec_u64(field(m, "migrations")?, "metrics.migrations")?,
-        energy: dec_f64(field(m, "energy")?, "metrics.energy")?,
-        simulated_time: dec_f64(field(m, "simulated_time")?, "metrics.simulated_time")?,
-    };
-    let r = field(v, "robustness")?;
-    let robustness = Robustness {
-        faults_enabled: dec_bool(field(r, "faults_enabled")?, "robustness.faults_enabled")?,
-        noisy_readings: dec_u64(field(r, "noisy_readings")?, "robustness.noisy_readings")?,
-        stuck_readings: dec_u64(field(r, "stuck_readings")?, "robustness.stuck_readings")?,
-        sensor_dropouts: dec_u64(field(r, "sensor_dropouts")?, "robustness.sensor_dropouts")?,
-        migration_faults: dec_u64(field(r, "migration_faults")?, "robustness.migration_faults")?,
-        power_spikes: dec_u64(field(r, "power_spikes")?, "robustness.power_spikes")?,
-        dropped_actions: dec_u64(field(r, "dropped_actions")?, "robustness.dropped_actions")?,
-        min_sensor_confidence: dec_f64(
-            field(r, "min_sensor_confidence")?,
-            "robustness.min_sensor_confidence",
-        )?,
-        fallback_intervals: dec_u64(
-            field(r, "fallback_intervals")?,
-            "robustness.fallback_intervals",
-        )?,
-        fallback_activations: dec_u64(
-            field(r, "fallback_activations")?,
-            "robustness.fallback_activations",
-        )?,
-        watchdog_intervals: dec_u64(
-            field(r, "watchdog_intervals")?,
-            "robustness.watchdog_intervals",
-        )?,
-        watchdog_activations: dec_u64(
-            field(r, "watchdog_activations")?,
-            "robustness.watchdog_activations",
-        )?,
-    };
-    let faults = match field(v, "faults")? {
-        Json::Null => None,
-        f => Some(decode_faults(f)?),
-    };
-    let ob = field(v, "obs")?;
-    let obs = ObsState {
-        counters: arr(field(ob, "counters")?, "obs.counters")?
-            .iter()
-            .map(|e| {
-                let pair = arr(e, "obs.counters entry")?;
-                match pair {
-                    [name, val] => Ok((
-                        dec_str(name, "obs counter name")?,
-                        dec_u64(val, "obs counter value")?,
-                    )),
-                    _ => Err(shape("obs.counters", "[name, value] pairs")),
-                }
-            })
-            .collect::<CkptResult<Vec<_>>>()?,
-        gauges: arr(field(ob, "gauges")?, "obs.gauges")?
-            .iter()
-            .map(|e| {
-                let pair = arr(e, "obs.gauges entry")?;
-                match pair {
-                    [name, val] => Ok((
-                        dec_str(name, "obs gauge name")?,
-                        dec_f64(val, "obs gauge value")?,
-                    )),
-                    _ => Err(shape("obs.gauges", "[name, value] pairs")),
-                }
-            })
-            .collect::<CkptResult<Vec<_>>>()?,
-        meta: arr(field(ob, "meta")?, "obs.meta")?
-            .iter()
-            .map(|e| {
-                let pair = arr(e, "obs.meta entry")?;
-                match pair {
-                    [name, val] => Ok((
-                        dec_str(name, "obs meta name")?,
-                        dec_str(val, "obs meta value")?,
-                    )),
-                    _ => Err(shape("obs.meta", "[name, value] pairs")),
-                }
-            })
-            .collect::<CkptResult<Vec<_>>>()?,
-    };
-    let tr = field(v, "trace")?;
-    let trace = TraceState {
-        times: dec_f64_vec(field(tr, "times")?, "trace.times")?,
-        temps: arr(field(tr, "temps")?, "trace.temps")?
-            .iter()
-            .map(|row| dec_f64_vec(row, "trace.temps row"))
-            .collect::<CkptResult<Vec<_>>>()?,
-        events: arr(field(tr, "events")?, "trace.events")?
-            .iter()
-            .map(|e| {
-                let triple = arr(e, "trace.events entry")?;
-                match triple {
-                    [t, kind, detail] => {
-                        let label = dec_str(kind, "trace event kind")?;
-                        let kind = TraceEventKind::from_label(&label).ok_or_else(|| {
-                            CheckpointError::Parse {
-                                message: format!("unknown trace event kind `{label}`"),
-                            }
-                        })?;
-                        Ok(TraceEvent {
-                            time_seconds: dec_f64(t, "trace event time")?,
-                            kind,
-                            detail: dec_str(detail, "trace event detail")?,
-                        })
-                    }
-                    _ => Err(shape("trace.events", "[time, kind, detail] triples")),
-                }
-            })
-            .collect::<CkptResult<Vec<_>>>()?,
-    };
-    let ts = dec_u64_vec(field(v, "thermal_stats")?, "thermal_stats")?;
-    let thermal_stats: [u64; 4] = ts
+/// An array of exactly `N` counters.
+fn counters<const N: usize>(c: &Cursor<'_>) -> hp_obs::Result<[u64; N]> {
+    c.list(Cursor::u64)?
         .try_into()
-        .map_err(|_| shape("thermal_stats", "an array of 4 counters"))?;
-    // Optional: absent in checkpoints predating the numerical-integrity layer.
-    let numerics_stats: [u64; 3] = match v.get("numerics_stats") {
-        Some(j) => dec_u64_vec(j, "numerics_stats")?
-            .try_into()
-            .map_err(|_| shape("numerics_stats", "an array of 3 counters"))?,
-        None => [0, 0, 0],
+        .map_err(|_| c.error(&format!("an array of {N} counters")))
+}
+
+/// A `[name, value]` pair.
+fn named<'a, T>(
+    c: &Cursor<'a>,
+    value: impl Fn(&Cursor<'a>) -> hp_obs::Result<T>,
+) -> hp_obs::Result<(String, T)> {
+    let [name, v] = c.tuple()?;
+    Ok((name.str()?.to_string(), value(&v)?))
+}
+
+fn decode_state(v: &Cursor<'_>) -> hp_obs::Result<CheckpointState> {
+    let m = v.field("metrics")?;
+    let metrics = MetricsState {
+        makespan: m.field("makespan")?.f64_tagged()?,
+        peak_temperature: m.field("peak_temperature")?.f64_tagged()?,
+        dtm_intervals: m.field("dtm_intervals")?.u64()?,
+        migrations: m.field("migrations")?.u64()?,
+        energy: m.field("energy")?.f64_tagged()?,
+        simulated_time: m.field("simulated_time")?.f64_tagged()?,
     };
-    let sc = field(v, "scheduler")?;
-    let scheduler_name = dec_str(field(sc, "name")?, "scheduler.name")?;
-    let scheduler_blob = match field(sc, "blob")? {
-        Json::Null => None,
-        b => Some(dec_str(b, "scheduler.blob")?),
+    let r = v.field("robustness")?;
+    let robustness = Robustness {
+        faults_enabled: r.field("faults_enabled")?.bool()?,
+        noisy_readings: r.field("noisy_readings")?.u64()?,
+        stuck_readings: r.field("stuck_readings")?.u64()?,
+        sensor_dropouts: r.field("sensor_dropouts")?.u64()?,
+        migration_faults: r.field("migration_faults")?.u64()?,
+        power_spikes: r.field("power_spikes")?.u64()?,
+        dropped_actions: r.field("dropped_actions")?.u64()?,
+        min_sensor_confidence: r.field("min_sensor_confidence")?.f64_tagged()?,
+        fallback_intervals: r.field("fallback_intervals")?.u64()?,
+        fallback_activations: r.field("fallback_activations")?.u64()?,
+        watchdog_intervals: r.field("watchdog_intervals")?.u64()?,
+        watchdog_activations: r.field("watchdog_activations")?.u64()?,
     };
+    let faults = v.field("faults")?;
+    let ob = v.field("obs")?;
+    let tr = v.field("trace")?;
+    let sc = v.field("scheduler")?;
+    let blob = sc.field("blob")?;
     Ok(CheckpointState {
-        step,
-        node_temps,
-        levels,
-        occupancy,
-        pending,
-        arrivals,
-        active,
-        records,
-        completed,
-        dtm_last_interval,
-        dtm_core_latch,
-        busy_freq_integral,
-        busy_time,
-        sched_was_degraded,
+        step: v.field("step")?.u64()?,
+        node_temps: v.field("node_temps")?.list(Cursor::f64_tagged)?,
+        levels: v.field("levels")?.list(Cursor::usize)?,
+        occupancy: v.field("occupancy")?.list(|slot| {
+            if slot.is_null() {
+                return Ok(None);
+            }
+            let [job, index] = slot.tuple()?;
+            Ok(Some(ThreadId {
+                job: hp_workload::JobId(job.usize()?),
+                index: index.usize()?,
+            }))
+        })?,
+        pending: v.field("pending")?.list(Cursor::usize)?,
+        arrivals: v.field("arrivals")?.list(Cursor::usize)?,
+        active: v.field("active")?.list(decode_active_job)?,
+        records: v.field("records")?.list(|r| {
+            Ok(JobRecord {
+                job: hp_workload::JobId(r.field("job")?.usize()?),
+                benchmark: r.field("benchmark")?.str()?.to_string(),
+                threads: r.field("threads")?.usize()?,
+                arrival: r.field("arrival")?.f64_tagged()?,
+                started: r.field("started")?.f64_tagged()?,
+                completed: opt_tagged(&r.field("completed")?)?,
+                instructions: r.field("instructions")?.u64()?,
+                migrations: r.field("migrations")?.u64()?,
+                energy: r.field("energy")?.f64_tagged()?,
+            })
+        })?,
+        completed: v.field("completed")?.u64()?,
+        dtm_last_interval: v.field("dtm_last_interval")?.bool()?,
+        dtm_core_latch: v.field("dtm_core_latch")?.list(Cursor::bool)?,
+        busy_freq_integral: v.field("busy_freq_integral")?.f64_tagged()?,
+        busy_time: v.field("busy_time")?.f64_tagged()?,
+        sched_was_degraded: v.field("sched_was_degraded")?.bool()?,
         metrics,
         robustness,
-        faults,
-        obs,
-        trace,
-        thermal_stats,
-        numerics_stats,
-        scheduler_name,
-        scheduler_blob,
-    })
-}
-
-fn decode_active_job(v: &Json) -> CkptResult<ActiveJobState> {
-    let job = dec_usize(field(v, "job")?, "active job id")?;
-    let phase = dec_usize(field(v, "phase")?, "active job phase")?;
-    let completed = dec_opt_f64(field(v, "completed")?, "active job completed")?;
-    let threads = arr(field(v, "threads")?, "active job threads")?
-        .iter()
-        .map(|t| {
-            let core = dec_usize(field(t, "core")?, "thread core")?;
-            let running = match field(t, "running")? {
-                Json::Null => None,
-                r => Some(dec_u64(r, "thread running")?),
-            };
-            let h = field(t, "history")?;
-            let samples = arr(field(h, "samples")?, "history samples")?
-                .iter()
-                .map(|s| {
-                    let pair = arr(s, "history sample")?;
-                    match pair {
-                        [d, w] => Ok((
-                            dec_f64(d, "history sample duration")?,
-                            dec_f64(w, "history sample watts")?,
-                        )),
-                        _ => Err(shape("history samples", "[duration, watts] pairs")),
-                    }
+        faults: if faults.is_null() {
+            None
+        } else {
+            Some(decode_faults(&faults)?)
+        },
+        obs: ObsState {
+            counters: ob.field("counters")?.list(|e| named(e, Cursor::u64))?,
+            gauges: ob.field("gauges")?.list(|e| named(e, Cursor::f64_tagged))?,
+            meta: ob
+                .field("meta")?
+                .list(|e| named(e, |v| v.str().map(str::to_string)))?,
+        },
+        trace: TraceState {
+            times: tr.field("times")?.list(Cursor::f64_tagged)?,
+            temps: tr
+                .field("temps")?
+                .list(|row| row.list(Cursor::f64_tagged))?,
+            events: tr.field("events")?.list(|e| {
+                let [time, kind, detail] = e.tuple()?;
+                Ok(TraceEvent {
+                    time_seconds: time.f64_tagged()?,
+                    kind: TraceEventKind::from_label(kind.str()?)
+                        .ok_or_else(|| kind.error("a trace event kind"))?,
+                    detail: detail.str()?.to_string(),
                 })
-                .collect::<CkptResult<Vec<_>>>()?;
-            Ok(ThreadState {
-                core,
-                running,
-                stall_until: dec_f64(field(t, "stall_until")?, "thread stall_until")?,
-                warmup_until: dec_f64(field(t, "warmup_until")?, "thread warmup_until")?,
-                history: (
-                    samples,
-                    dec_f64(field(h, "window")?, "history window")?,
-                    dec_f64(field(h, "total_time")?, "history total_time")?,
-                    dec_f64(field(h, "total_energy")?, "history total_energy")?,
-                ),
-                last_cpi: dec_f64(field(t, "last_cpi")?, "thread last_cpi")?,
-                migrations: dec_u64(field(t, "migrations")?, "thread migrations")?,
-                instructions_retired: dec_u64(
-                    field(t, "instructions_retired")?,
-                    "thread instructions_retired",
-                )?,
-                energy: dec_f64(field(t, "energy")?, "thread energy")?,
-            })
-        })
-        .collect::<CkptResult<Vec<_>>>()?;
+            })?,
+        },
+        thermal_stats: counters(&v.field("thermal_stats")?)?,
+        // Optional: absent in checkpoints predating the numerical-integrity layer.
+        numerics_stats: match v.opt("numerics_stats") {
+            Some(c) => counters(&c)?,
+            None => [0, 0, 0],
+        },
+        scheduler_name: sc.field("name")?.str()?.to_string(),
+        scheduler_blob: if blob.is_null() {
+            None
+        } else {
+            Some(blob.str()?.to_string())
+        },
+    })
+}
+fn decode_active_job(a: &Cursor<'_>) -> hp_obs::Result<ActiveJobState> {
     Ok(ActiveJobState {
-        job,
-        phase,
-        completed,
-        threads,
+        job: a.field("job")?.usize()?,
+        phase: a.field("phase")?.usize()?,
+        completed: opt_tagged(&a.field("completed")?)?,
+        threads: a.field("threads")?.list(|t| {
+            let running = t.field("running")?;
+            let h = t.field("history")?;
+            Ok(ThreadState {
+                core: t.field("core")?.usize()?,
+                running: if running.is_null() {
+                    None
+                } else {
+                    Some(running.u64()?)
+                },
+                stall_until: t.field("stall_until")?.f64_tagged()?,
+                warmup_until: t.field("warmup_until")?.f64_tagged()?,
+                history: (
+                    h.field("samples")?.list(|s| {
+                        let [d, w] = s.tuple()?;
+                        Ok((d.f64_tagged()?, w.f64_tagged()?))
+                    })?,
+                    h.field("window")?.f64_tagged()?,
+                    h.field("total_time")?.f64_tagged()?,
+                    h.field("total_energy")?.f64_tagged()?,
+                ),
+                last_cpi: t.field("last_cpi")?.f64_tagged()?,
+                migrations: t.field("migrations")?.u64()?,
+                instructions_retired: t.field("instructions_retired")?.u64()?,
+                energy: t.field("energy")?.f64_tagged()?,
+            })
+        })?,
     })
 }
 
-fn decode_record(v: &Json) -> CkptResult<JobRecord> {
-    Ok(JobRecord {
-        job: hp_workload::JobId(dec_usize(field(v, "job")?, "record job")?),
-        benchmark: dec_str(field(v, "benchmark")?, "record benchmark")?,
-        threads: dec_usize(field(v, "threads")?, "record threads")?,
-        arrival: dec_f64(field(v, "arrival")?, "record arrival")?,
-        started: dec_f64(field(v, "started")?, "record started")?,
-        completed: dec_opt_f64(field(v, "completed")?, "record completed")?,
-        instructions: dec_u64(field(v, "instructions")?, "record instructions")?,
-        migrations: dec_u64(field(v, "migrations")?, "record migrations")?,
-        energy: dec_f64(field(v, "energy")?, "record energy")?,
-    })
-}
-
-fn decode_faults(v: &Json) -> CkptResult<FaultState> {
-    let inj = field(v, "injector")?;
-    let rng = dec_u64_vec(field(inj, "rng_state")?, "injector rng_state")?;
-    let rng_state: [u64; 4] = rng
-        .try_into()
-        .map_err(|_| shape("injector rng_state", "an array of 4 words"))?;
-    let stats_v = field(inj, "stats")?;
-    let stats = hp_faults::FaultStats {
-        noisy_readings: dec_u64(field(stats_v, "noisy_readings")?, "fault stats")?,
-        stuck_episodes: dec_u64(field(stats_v, "stuck_episodes")?, "fault stats")?,
-        stuck_readings: dec_u64(field(stats_v, "stuck_readings")?, "fault stats")?,
-        dropouts: dec_u64(field(stats_v, "dropouts")?, "fault stats")?,
-        migration_failures: dec_u64(field(stats_v, "migration_failures")?, "fault stats")?,
-        migration_blackouts: dec_u64(field(stats_v, "migration_blackouts")?, "fault stats")?,
-        power_spikes: dec_u64(field(stats_v, "power_spikes")?, "fault stats")?,
-    };
-    let injector = InjectorSnapshot {
-        rng_state,
-        stuck_until: dec_u64_vec(field(inj, "stuck_until")?, "injector stuck_until")?,
-        stuck_value_celsius: dec_f64_vec(
-            field(inj, "stuck_value_celsius")?,
-            "injector stuck_value_celsius",
-        )?,
-        blackout_until: dec_u64(field(inj, "blackout_until")?, "injector blackout_until")?,
-        spike_core: dec_usize(field(inj, "spike_core")?, "injector spike_core")?,
-        spike_until: dec_u64(field(inj, "spike_until")?, "injector spike_until")?,
-        interval: dec_u64(field(inj, "interval")?, "injector interval")?,
-        stats,
-    };
-    let c = field(v, "conditioner")?;
-    let conditioner = ConditionerSnapshot {
-        last_good_celsius: dec_f64_vec(
-            field(c, "last_good_celsius")?,
-            "conditioner last_good_celsius",
-        )?,
-        staleness: dec_u64_vec(field(c, "staleness")?, "conditioner staleness")?,
-        seen: dec_bool_vec(field(c, "seen")?, "conditioner seen")?,
-    };
+fn decode_faults(f: &Cursor<'_>) -> hp_obs::Result<FaultState> {
+    let inj = f.field("injector")?;
+    let st = inj.field("stats")?;
+    let c = f.field("conditioner")?;
     Ok(FaultState {
-        injector,
-        conditioner,
-        sensed_temps: dec_f64_vec(field(v, "sensed_temps")?, "faults sensed_temps")?,
-        confidence: dec_f64_vec(field(v, "confidence")?, "faults confidence")?,
-        sensors_degraded: dec_bool(field(v, "sensors_degraded")?, "faults sensors_degraded")?,
+        injector: InjectorSnapshot {
+            rng_state: counters(&inj.field("rng_state")?)?,
+            stuck_until: inj.field("stuck_until")?.list(Cursor::u64)?,
+            stuck_value_celsius: inj.field("stuck_value_celsius")?.list(Cursor::f64_tagged)?,
+            blackout_until: inj.field("blackout_until")?.u64()?,
+            spike_core: inj.field("spike_core")?.usize()?,
+            spike_until: inj.field("spike_until")?.u64()?,
+            interval: inj.field("interval")?.u64()?,
+            stats: hp_faults::FaultStats {
+                noisy_readings: st.field("noisy_readings")?.u64()?,
+                stuck_episodes: st.field("stuck_episodes")?.u64()?,
+                stuck_readings: st.field("stuck_readings")?.u64()?,
+                dropouts: st.field("dropouts")?.u64()?,
+                migration_failures: st.field("migration_failures")?.u64()?,
+                migration_blackouts: st.field("migration_blackouts")?.u64()?,
+                power_spikes: st.field("power_spikes")?.u64()?,
+            },
+        },
+        conditioner: ConditionerSnapshot {
+            last_good_celsius: c.field("last_good_celsius")?.list(Cursor::f64_tagged)?,
+            staleness: c.field("staleness")?.list(Cursor::u64)?,
+            seen: c.field("seen")?.list(Cursor::bool)?,
+        },
+        sensed_temps: f.field("sensed_temps")?.list(Cursor::f64_tagged)?,
+        confidence: f.field("confidence")?.list(Cursor::f64_tagged)?,
+        sensors_degraded: f.field("sensors_degraded")?.bool()?,
     })
 }
 
@@ -1268,6 +933,70 @@ mod tests {
         let back = EngineCheckpoint::from_json_str(&json).expect("roundtrip");
         assert_eq!(back, ckpt);
         assert_eq!(back.to_json_string(), json, "encode is canonical");
+    }
+
+    /// The canonical encoding, pinned byte for byte: the fixture was
+    /// written from these two states by the encoder that predates the
+    /// shared codec layer, and the digest hashes exactly these bytes.
+    #[test]
+    fn canonical_encoding_is_pinned() {
+        let golden = include_str!("../../../tests/golden/codecs/checkpoint_state.jsonl");
+        let full = EngineCheckpoint {
+            spec_hash: 0x0123_4567_89ab_cdef,
+            state: sample_state(),
+        };
+        let mut state = sample_state();
+        state.faults = None;
+        state.scheduler_blob = None;
+        state.busy_time = f64::NAN;
+        state.busy_freq_integral = f64::NEG_INFINITY;
+        state.metrics.makespan = -0.0;
+        let sparse = EngineCheckpoint {
+            spec_hash: 7,
+            state,
+        };
+        let encoded = format!("{}\n{}\n", full.to_json_string(), sparse.to_json_string());
+        assert!(encoded == golden, "encoding drifted:\n{encoded}");
+        for line in golden.lines() {
+            let back = EngineCheckpoint::from_json_str(line).expect("pinned document verifies");
+            assert_eq!(back.to_json_string(), line);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Arbitrary floats (NaN, ±∞, ±0, subnormals) and counters in
+        /// float- and counter-bearing positions survive encode → decode →
+        /// encode byte for byte; engine-made checkpoints rarely hold
+        /// non-finite values, so these are drawn directly.
+        #[test]
+        fn encode_decode_encode_is_byte_identical(
+            f in proptest::collection::vec(proptest::num::f64::ANY, 12),
+            n in proptest::collection::vec(0u64..u64::MAX, 4),
+        ) {
+            let mut s = sample_state();
+            s.node_temps = f[..3].to_vec();
+            s.busy_time = f[3];
+            s.busy_freq_integral = f[4];
+            s.metrics.makespan = f[5];
+            let thread = &mut s.active[0].threads[0];
+            thread.last_cpi = f[6];
+            thread.stall_until = f[7];
+            thread.history.0[0] = (f[8], f[9]);
+            s.records[0].completed = Some(f[10]);
+            s.obs.gauges[0].1 = f[11];
+            s.step = n[0];
+            s.obs.counters[0].1 = n[1];
+            s.thermal_stats[0] = n[2];
+            let ckpt = EngineCheckpoint {
+                spec_hash: n[3],
+                state: s,
+            };
+            let first = ckpt.to_json_string();
+            let again = EngineCheckpoint::from_json_str(&first).map(|c| c.to_json_string());
+            proptest::prop_assert_eq!(again, Ok(first));
+        }
     }
 
     #[test]

@@ -1,10 +1,9 @@
 use hp_faults::{FaultError, FaultPlan};
-use serde::{Deserialize, Serialize};
 
 use crate::{Result, SimError};
 
 /// How the hardware DTM reacts when a junction crosses the threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DtmScope {
     /// Crash the whole chip to the minimum frequency while any junction
     /// is above the threshold — the paper's description ("crashes the
@@ -25,7 +24,7 @@ pub enum DtmScope {
 /// let cfg = SimConfig { t_dtm: 75.0, ..SimConfig::default() };
 /// assert!(cfg.validate().is_ok());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Simulation interval, s. The thermal step is exact for constant
     /// power, so `dt` only bounds how often power and scheduling can

@@ -3,10 +3,9 @@ use std::collections::VecDeque;
 use hp_floorplan::CoreId;
 use hp_manycore::WorkPoint;
 use hp_workload::{Job, JobId};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of one thread of one job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ThreadId {
     /// The owning job.
     pub job: JobId,

@@ -9,6 +9,7 @@
 //!   "unmanaged" configuration of Fig. 2(a).
 
 use hp_floorplan::CoreId;
+use hp_obs::json::{self, push_list, push_lit, Layout, Obj};
 
 use crate::scheduler::{Action, Scheduler, SimView};
 
@@ -96,37 +97,46 @@ impl Scheduler for PinnedScheduler {
     // `schedule` consumes: the snapshot records whether (and where) it
     // is still armed.
     fn snapshot(&self) -> Option<String> {
-        let body = match &self.preferred {
-            None => "null".to_string(),
-            Some(cores) => {
-                let list: Vec<String> = cores.iter().map(|c| c.index().to_string()).collect();
-                format!("[{}]", list.join(","))
-            }
-        };
-        Some(format!("{{\"preferred\":{body}}}"))
+        Some(preferred_snapshot(self.preferred.as_deref()))
     }
 
     fn restore(&mut self, state: &str) -> std::result::Result<(), String> {
-        let doc = hp_obs::json::parse(state).map_err(|e| format!("pinned snapshot: {e}"))?;
-        let preferred = doc
-            .get("preferred")
-            .ok_or("pinned snapshot: missing `preferred`")?;
-        self.preferred = match preferred {
-            hp_obs::json::Json::Null => None,
-            hp_obs::json::Json::Arr(items) => Some(
-                items
-                    .iter()
-                    .map(|v| {
-                        v.as_u64()
-                            .map(|i| CoreId(i as usize))
-                            .ok_or_else(|| "pinned snapshot: non-integer core".to_string())
-                    })
-                    .collect::<std::result::Result<Vec<_>, _>>()?,
-            ),
-            _ => return Err("pinned snapshot: `preferred` must be null or a list".into()),
-        };
+        self.preferred = restore_preferred(state).map_err(|e| format!("pinned snapshot: {e}"))?;
         Ok(())
     }
+}
+
+/// Snapshot blob of a one-shot preferred placement,
+/// `{"preferred":[c0,c1,…]}` or `{"preferred":null}` once consumed.
+/// Shared by the schedulers whose only mutable state is that placement.
+pub fn preferred_snapshot(preferred: Option<&[CoreId]>) -> String {
+    let mut out = String::new();
+    let mut o = Obj::open(&mut out, Layout::Canonical);
+    match preferred {
+        None => o.key("preferred").push_str("null"),
+        Some(cores) => push_list(
+            o.key("preferred"),
+            Layout::Canonical,
+            cores.iter().map(|c| c.index()),
+            push_lit,
+        ),
+    }
+    o.close();
+    out
+}
+
+/// Decodes a [`preferred_snapshot`] blob.
+///
+/// # Errors
+///
+/// When the blob is not such a document; the error names the field.
+pub fn restore_preferred(state: &str) -> hp_obs::Result<Option<Vec<CoreId>>> {
+    let parsed = json::parse(state)?;
+    let preferred = parsed.cursor("snapshot").field("preferred")?;
+    if preferred.is_null() {
+        return Ok(None);
+    }
+    preferred.list(|c| c.usize().map(CoreId)).map(Some)
 }
 
 #[cfg(test)]
@@ -247,5 +257,50 @@ mod tests {
         let m = sim.run(jobs, &mut sched).unwrap();
         let retired: u64 = m.jobs.iter().map(|j| j.instructions).sum();
         assert_eq!(retired, expected, "all instructions retired exactly");
+    }
+
+    #[test]
+    fn preferred_snapshot_spells_armed_and_consumed_placements() {
+        let armed = preferred_snapshot(Some(&[CoreId(0), CoreId(3), CoreId(5)]));
+        assert_eq!(armed, r#"{"preferred":[0,3,5]}"#);
+        assert_eq!(
+            restore_preferred(&armed),
+            Ok(Some(vec![CoreId(0), CoreId(3), CoreId(5)]))
+        );
+        let consumed = preferred_snapshot(None);
+        assert_eq!(consumed, r#"{"preferred":null}"#);
+        assert_eq!(restore_preferred(&consumed), Ok(None));
+        assert_eq!(
+            restore_preferred(&preferred_snapshot(Some(&[]))),
+            Ok(Some(vec![]))
+        );
+    }
+
+    #[test]
+    fn pinned_restore_rejects_malformed_blobs_and_keeps_its_state() {
+        let mut sched = PinnedScheduler::with_preferred_cores(vec![CoreId(2)]);
+        for (blob, needle) in [
+            ("not json", "expected a JSON value"),
+            ("{}", "`snapshot.preferred` is missing"),
+            (
+                r#"{"preferred":"all"}"#,
+                "`snapshot.preferred` is not an array",
+            ),
+            (
+                r#"{"preferred":[1,-1]}"#,
+                "`snapshot.preferred[1]` is not an unsigned integer",
+            ),
+            (
+                r#"{"preferred":[1.5]}"#,
+                "`snapshot.preferred[0]` is not an unsigned integer",
+            ),
+        ] {
+            let err = sched.restore(blob).unwrap_err();
+            assert!(err.starts_with("pinned snapshot: "), "{err}");
+            assert!(err.contains(needle), "{blob}: {err}");
+            assert_eq!(sched.preferred_cores(), Some(&[CoreId(2)][..]));
+        }
+        sched.restore(r#"{"preferred":null}"#).unwrap();
+        assert_eq!(sched.preferred_cores(), None);
     }
 }

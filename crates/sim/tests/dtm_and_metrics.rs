@@ -100,3 +100,8 @@ fn avg_frequency_zero_without_work() {
     let m = sim.run(jobs, &mut pinned).expect("completes");
     assert!((m.avg_frequency_ghz - 4.0).abs() < 1e-9);
 }
+
+#[test]
+fn default_scope_is_the_papers_chip_wide_crash() {
+    assert_eq!(DtmScope::default(), DtmScope::Chip);
+}

@@ -23,6 +23,7 @@ use hotpotato::{HotPotato, HotPotatoConfig};
 use hp_faults::FaultPlan;
 use hp_floorplan::{CoreId, GridFloorplan};
 use hp_manycore::{ArchConfig, Machine};
+use hp_obs::json::{self, Json};
 use hp_sched::{FallbackChain, FallbackConfig};
 use hp_sim::schedulers::PinnedScheduler;
 use hp_sim::{Metrics, SimConfig, Simulation, TemperatureTrace};
@@ -311,21 +312,6 @@ fn render_fault_golden(m: &Metrics, trace: &TemperatureTrace) -> String {
     out
 }
 
-fn field_num(json: &str, name: &str) -> f64 {
-    let key = format!("\"{name}\":");
-    let at = json
-        .find(&key)
-        .unwrap_or_else(|| panic!("field {name} missing"));
-    let rest = &json[at + key.len()..];
-    let end = rest
-        .find([',', '\n', '}'])
-        .unwrap_or_else(|| panic!("field {name} unterminated"));
-    rest[..end]
-        .trim()
-        .parse()
-        .unwrap_or_else(|e| panic!("field {name} unparsable: {e}"))
-}
-
 #[test]
 fn fault_scenario_4x4_matches_golden_fixture() {
     let (metrics, trace) = run_fault_scenario();
@@ -354,25 +340,31 @@ fn fault_scenario_4x4_matches_golden_fixture() {
         return;
     }
 
-    let json = fs::read_to_string(&path).unwrap_or_else(|e| {
+    let raw = fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
             "golden fixture {} unreadable ({e}); regenerate with \
              GOLDEN_REGEN=1 cargo test -p hp-integration --test fault_chaos",
             path.display()
         )
     });
+    let doc = json::parse(&raw).expect("golden fixture parses");
+    let field_num = |name: &str| {
+        doc.get(name)
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| panic!("field {name} missing"))
+    };
 
     assert!(
-        (metrics.makespan - field_num(&json, "makespan")).abs() < 1e-9,
+        (metrics.makespan - field_num("makespan")).abs() < 1e-9,
         "makespan drifted: {}",
         metrics.makespan
     );
     assert!(
-        (metrics.peak_temperature - field_num(&json, "peak_temperature")).abs() < 1e-6,
+        (metrics.peak_temperature - field_num("peak_temperature")).abs() < 1e-6,
         "peak drifted: {}",
         metrics.peak_temperature
     );
-    assert!((metrics.energy - field_num(&json, "energy")).abs() < 1e-6);
+    assert!((metrics.energy - field_num("energy")).abs() < 1e-6);
     for (name, got) in [
         ("migrations", metrics.migrations),
         ("dtm_intervals", metrics.dtm_intervals),
@@ -388,11 +380,11 @@ fn fault_scenario_4x4_matches_golden_fixture() {
         ("trace_events", trace.events().len() as u64),
         ("intervals", trace.peak_series().len() as u64),
     ] {
-        let want = field_num(&json, name) as u64;
+        let want = field_num(name) as u64;
         assert_eq!(got, want, "{name} drifted");
     }
     assert!(
-        (r.min_sensor_confidence - field_num(&json, "min_sensor_confidence")).abs() < 1e-9,
+        (r.min_sensor_confidence - field_num("min_sensor_confidence")).abs() < 1e-9,
         "confidence floor drifted"
     );
 }

@@ -25,6 +25,7 @@ use std::path::PathBuf;
 use hotpotato::{HotPotato, HotPotatoConfig};
 use hp_floorplan::GridFloorplan;
 use hp_manycore::{ArchConfig, Machine};
+use hp_obs::json::{self, Cursor};
 use hp_sim::{Metrics, SimConfig, Simulation, TemperatureTrace};
 use hp_thermal::{RcThermalModel, ThermalConfig};
 use hp_workload::{Benchmark, Job, JobId};
@@ -104,42 +105,29 @@ fn render(m: &Metrics, trace: &TemperatureTrace) -> String {
     out
 }
 
-/// Minimal JSON field extraction — the workspace deliberately carries no
-/// JSON backend (vendored serde is value-level only), and the fixture's
-/// shape is fixed, so scalar fields and one flat number array suffice.
-fn field_num(json: &str, name: &str) -> f64 {
-    let key = format!("\"{name}\":");
-    let at = json
-        .find(&key)
-        .unwrap_or_else(|| panic!("field {name} missing"));
-    let rest = &json[at + key.len()..];
-    let end = rest
-        .find([',', '\n', '}'])
-        .unwrap_or_else(|| panic!("field {name} unterminated"));
-    rest[..end]
-        .trim()
-        .parse()
-        .unwrap_or_else(|e| panic!("field {name} unparsable: {e}"))
-}
-
-fn parse(json: &str) -> Golden {
-    let arr_key = "\"peak_series\": [";
-    let at = json.find(arr_key).expect("peak_series missing");
-    let rest = &json[at + arr_key.len()..];
-    let end = rest.find(']').expect("peak_series unterminated");
-    let peak_series: Vec<f64> = rest[..end]
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(|s| s.parse().expect("peak_series entry unparsable"))
-        .collect();
+fn parse(raw: &str) -> Golden {
+    let doc = json::parse(raw).expect("golden fixture parses");
+    let doc = doc.cursor("golden");
+    let num = |key: &str| {
+        doc.field(key)
+            .and_then(|v| v.f64())
+            .unwrap_or_else(|e| panic!("{e}"))
+    };
+    let count = |key: &str| {
+        doc.field(key)
+            .and_then(|v| v.u64())
+            .unwrap_or_else(|e| panic!("{e}"))
+    };
     Golden {
-        makespan: field_num(json, "makespan"),
-        peak_temperature: field_num(json, "peak_temperature"),
-        energy: field_num(json, "energy"),
-        migrations: field_num(json, "migrations") as u64,
-        dtm_intervals: field_num(json, "dtm_intervals") as u64,
-        peak_series,
+        makespan: num("makespan"),
+        peak_temperature: num("peak_temperature"),
+        energy: num("energy"),
+        migrations: count("migrations"),
+        dtm_intervals: count("dtm_intervals"),
+        peak_series: doc
+            .field("peak_series")
+            .and_then(|s| s.list(Cursor::f64))
+            .unwrap_or_else(|e| panic!("{e}")),
     }
 }
 

@@ -62,12 +62,13 @@ fn render(report: &CampaignReport) -> String {
     out.push_str("  \"jobs\": [\n");
     for (i, o) in report.jobs.iter().enumerate() {
         let sep = if i + 1 == report.jobs.len() { "" } else { "," };
+        let mut label = String::new();
+        json::push_str(&mut label, &o.label);
         let _ = writeln!(
             out,
-            "    {{\"label\": \"{}\", \"status\": \"{}\", \"makespan\": {:.9}, \
+            "    {{\"label\": {label}, \"status\": \"{}\", \"makespan\": {:.9}, \
              \"peak\": {:.9}, \"energy\": {:.9}, \"migrations\": {}, \
              \"dtm_intervals\": {}, \"jobs_completed\": {}}}{sep}",
-            json::escape(&o.label),
             o.status.label(),
             o.makespan_seconds,
             o.peak_celsius,

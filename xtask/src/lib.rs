@@ -10,8 +10,9 @@
 //!   atomics-and-locks discipline, and suppression accounting against a
 //!   reviewed [`baseline`].
 //!
-//! Everything is dependency-free so the gates run in offline CI with
-//! nothing but the workspace itself.
+//! The only dependency is the workspace's own JSON codec (`hp-obs`, for
+//! the findings and baseline documents), so the gates run in offline CI
+//! with nothing but the workspace itself.
 
 pub mod audit;
 pub mod baseline;
